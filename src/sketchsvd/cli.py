@@ -29,8 +29,10 @@ Conventions
 * ``--out PATH`` writes the CSV plus a ``PATH.jsonl`` mirror (one ``meta``
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
-* Desk-scale presets run in seconds; full-scale presets are gated behind
-  ``--xl``.
+* Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
+  ``spectrum`` about 1 s and ``nearest`` about 6 s; ``ortho`` about
+  2.5 minutes and 1 GB peak memory, dominated by building the gaussian
+  operator.  Full-scale presets are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error, 3 numerical failure, 4 asserted
   bounds violated (only with ``--strict``).
 """

@@ -11,7 +11,6 @@ so the pass flags are deterministic over the audited subspace.
 """
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -356,9 +355,3 @@ def bound_reports_to_jsonl(reports, path_or_file, matrix_id="", s="", seed=""):
         if own:
             fh.close()
 
-
-def bound_reports_csv_text(reports, matrix_id="", s="", seed=""):
-    """CSV serialization as a string (convenience for tests and the CLI)."""
-    buf = io.StringIO()
-    bound_reports_to_csv(reports, buf, matrix_id=matrix_id, s=s, seed=seed)
-    return buf.getvalue()
