@@ -13,7 +13,7 @@ from .densekernels import (
     fro_norm,
     householder_qr,
     jacobi_svd,
-    pinv_apply,
+    numerical_rank,
     polar_factors,
     range_basis,
     spectral_norm,
@@ -56,7 +56,6 @@ from .stssvd import (
     SpectrumComparison,
     StsSvdFactors,
     compare_spectra,
-    numerical_rank,
     s_fro_norm,
     s_two_norm,
     sketched_qr,
@@ -104,7 +103,6 @@ __all__ = [
     "numerical_rank",
     "orthogonality_report",
     "pairwise_cosine_audit",
-    "pinv_apply",
     "polar_factors",
     "range_basis",
     "read_matrix_market",

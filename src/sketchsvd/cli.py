@@ -22,34 +22,38 @@ Conventions
 * Sketch dimensions: ``--s`` takes a comma list of integers or ``Kn``
   multiples of the column count (e.g. ``2n,4n``); without ``--s``, the
   dimension comes from ``(--eps, --delta)``.
-* Seeding: the master ``--seed`` spawns one child seed for matrix
-  generation and one per (sketch-dimension, repetition) pair through
-  ``numpy.random.SeedSequence``; every run is reproducible and, apart
-  from wall-time columns, byte-identical.
+* Seeding: the master ``--seed`` spawns children through
+  ``numpy.random.SeedSequence``.  Child 0 seeds the matrix (generation,
+  and the start vector of the iterative reference spectrum); children 1,
+  2, ... seed the sketch operators, one per (sketch-dimension,
+  repetition) pair in output order.  Every run is reproducible and,
+  apart from wall-time columns, byte-identical.
 * ``--out PATH`` writes the CSV plus a ``PATH.jsonl`` mirror (one ``meta``
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
   ``spectrum`` about 1 s and ``nearest`` about 6 s; ``ortho`` about
-  2.5 minutes and 1 GB peak memory, dominated by building the gaussian
+  2.5 minutes and 0.7 GB peak memory, dominated by building the gaussian
   operator.  Full-scale presets are gated behind ``--xl``.
-* Exit codes: 0 success, 2 input error, 3 numerical failure, 4 asserted
-  bounds violated (only with ``--strict``).
+* Exit codes: 0 success, 2 input error (including a sketch dimension that
+  leaves ``nearest`` without full column rank), 3 numerical failure, 4
+  asserted bounds violated (only with ``--strict``).
 """
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 import scipy.sparse.linalg
 
-from .densekernels import as_matrix, check_finite, range_basis, spectral_norm, to_dense
+from .densekernels import (
+    as_matrix, check_finite, numerical_rank, range_basis, spectral_norm, to_dense
+)
 from .errors import NumericalError
 from .generators import CauchySpec, gen_cauchy, gen_sparse_conditioned
-from .matio import read_matrix_market, write_matrix_market
-from .nearest import nearest_orthogonal
+from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
+from .nearest import nearest_orthogonal, nearest_sts_orthogonal, sandwich_bounds
 from .sketchops import KINDS, EmbeddingSpec, build_sketch, empirical_epsilon, sketch_dim
 from .stssvd import sts_singular_values, sts_svd
 
@@ -79,15 +83,7 @@ PRESETS = {
     },
 }
 
-_XL_PRESETS = {"xl"}
-
-
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+_NO_PRESET = {"sketch": "srtt", "reps": 50}
 
 
 def _load_matrix(src, seed):
@@ -122,149 +118,124 @@ def _seeds(master, count):
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-class _Output:
-    """Collects CSV/JSONL/raw rows and writes them deterministically."""
-
-    def __init__(self, columns, out_path, raw_columns=None, raw=False):
-        self.columns = columns
-        self.out_path = out_path
-        self.comments = []
-        self.rows = []
-        self.meta = {}
-        self.raw = raw
-        self.raw_columns = raw_columns or columns
-        self.raw_rows = []
-
-    def comment(self, text):
-        self.comments.append(text)
-
-    def add(self, row):
-        self.rows.append(row)
-
-    def add_raw(self, row):
-        if self.raw:
-            self.raw_rows.append(row)
-
-    def _csv_text(self, columns, rows, comments=()):
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        return "\n".join(lines) + "\n"
-
-    def flush(self):
-        text = self._csv_text(self.columns, self.rows, self.comments)
-        if self.out_path is None:
-            sys.stdout.write(text)
-            return
-        with open(self.out_path, "w") as fh:
-            fh.write(text)
-        with open(f"{self.out_path}.jsonl", "w") as fh:
-            fh.write(json.dumps({"type": "meta", **self.meta}) + "\n")
-            for row in self.rows:
-                fh.write(json.dumps({"type": "row", **_jsonable(row)}) + "\n")
-        if self.raw:
-            with open(f"{self.out_path}.raw.csv", "w") as fh:
-                fh.write(self._csv_text(self.raw_columns, self.raw_rows))
-
-
-def _jsonable(row):
-    out = {}
-    for k, v in row.items():
-        if isinstance(v, (np.bool_,)):
-            v = bool(v)
-        elif isinstance(v, np.integer):
-            v = int(v)
-        elif isinstance(v, np.floating):
-            v = float(v)
-        out[k] = v
-    return out
-
-
-def _resolve_sketch_dims(args, n, m):
+def _setup(args):
+    """The matrix of a run, its sketch dimensions (``--s``, or else the one
+    that ``(--eps, --delta)`` call for) and the matrix seed."""
+    matrix_seed = _seeds(args.seed, 1)[0]
+    A = _load_matrix(args.matrix, matrix_seed)
+    m, n = A.shape
     if args.s:
-        return _parse_s_list(args.s, n)
-    spec = EmbeddingSpec(
-        epsilon=args.eps, delta=args.delta, k=min(n, m), m=m, kind=args.sketch
+        dims = _parse_s_list(args.s, n)
+    else:
+        spec = EmbeddingSpec(
+            epsilon=args.eps, delta=args.delta, k=min(n, m), m=m, kind=args.sketch
+        )
+        dims = [sketch_dim(spec)]
+    return A, dims, matrix_seed
+
+
+def _repetitions(args, A, dims, rep):
+    """Run ``rep(op)`` for each (s, repetition) pair on an operator built
+    from that pair's child seed; yield its record tagged with ``s`` and
+    ``rep``.  The operator is dropped before the next one is built.
+
+    Child 0 of the master seed belongs to the matrix (see :func:`_setup`);
+    the pairs take children 1, 2, ... in order.
+    """
+    seeds = iter(_seeds(args.seed, 1 + len(dims) * args.reps)[1:])
+    for s in dims:
+        for r in range(args.reps):
+            op = build_sketch(args.sketch, s, A.shape[0], next(seeds))
+            yield {"s": s, "rep": r, **rep(op)}
+
+
+def _means(raw, dims, reps, columns):
+    """One row per sketch dimension: the mean of each column over its
+    repetitions, or ``all()`` for a ``*_pass`` flag."""
+    rows = []
+    for si, s in enumerate(dims):
+        group = raw[si * reps : (si + 1) * reps]
+        row = {"s": s}
+        for c in columns:
+            values = [r[c] for r in group]
+            row[c] = all(values) if c.endswith("_pass") else np.mean(values, axis=0)
+        rows.append(row)
+    return rows
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and the seconds it took."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def _write(args, columns, rows, meta, comments, raw_columns, raw_rows=()):
+    """The CSV to ``--out`` (stdout without it), its ``.jsonl`` mirror (one
+    ``meta`` record, then one per row) and, with ``--raw``, ``.raw.csv``."""
+    write_csv(args.out or sys.stdout, columns, rows, comments)
+    if args.out is None:
+        return
+    write_jsonl(
+        f"{args.out}.jsonl",
+        [{"type": "meta", **meta}]
+        + [{"type": "row", **{c: row[c] for c in columns}} for row in rows],
     )
-    return [sketch_dim(spec)]
+    if args.raw:
+        write_csv(f"{args.out}.raw.csv", raw_columns, raw_rows)
 
 
 def cmd_spectrum(args):
-    A = as_matrix(_load_matrix(args.matrix, args.matrix_seed))
+    A, dims, matrix_seed = _setup(args)
     m, n = A.shape
-    dims = _resolve_sketch_dims(args, n, m)
     s = dims[0]
     ell = min(40, s, min(m, n))
+    columns = ["index", "sigma_full", "theta", "sigma_reference_method", "time_ms"]
+    raw_columns = ["rep", "index", "theta", "time_ms"]
 
-    out = _Output(
-        ["index", "sigma_full", "theta", "sigma_reference_method", "time_ms"],
-        args.out,
-        raw_columns=["rep", "index", "theta", "time_ms"],
-        raw=args.raw,
-    )
-
-    t0 = time.perf_counter()
-    sigma_full = np.linalg.svd(to_dense(A), compute_uv=False)
-    time_full = time.perf_counter() - t0
-
-    if sigma_full.size == 0 or sigma_full[0] <= 0.0:
-        out.comment("r=0: matrix is zero, no spectrum rows")
-        out.meta = {"command": "spectrum", "r": 0, "matrix": args.matrix}
-        out.flush()
+    sigma_full, time_full = _timed(lambda: np.linalg.svd(to_dense(A), compute_uv=False))
+    if numerical_rank(sigma_full) == 0:
+        meta = {"command": "spectrum", "r": 0, "matrix": args.matrix}
+        _write(args, columns, [], meta, ["r=0: matrix is zero, no spectrum rows"],
+               raw_columns)
         return 0
 
     k_ref = min(ell, min(m, n) - 1)
-    rng = np.random.default_rng(args.matrix_seed)
+    rng = np.random.default_rng(matrix_seed)
+    ref_padded = np.full(ell, np.nan)
     t0 = time.perf_counter()
     if k_ref >= 1:
         ref = scipy.sparse.linalg.svds(
             A.astype(np.float64), k=k_ref, v0=rng.standard_normal(min(m, n)),
             return_singular_vectors=False,
         )
-        ref = np.sort(ref)[::-1]
-    else:
-        ref = np.zeros(0)
+        ref_padded[:k_ref] = np.sort(ref)[::-1]
     time_ref = time.perf_counter() - t0
-    ref_padded = np.full(ell, np.nan)
-    ref_padded[: ref.size] = ref[:ell]
 
-    seeds = _seeds(args.seed, args.reps)
-    thetas = np.zeros((args.reps, ell))
-    times_ms = np.zeros(args.reps)
-    for rep, seed in enumerate(seeds):
-        op = build_sketch(args.sketch, s, m, seed)
-        t0 = time.perf_counter()
-        theta, _ = sts_singular_values(A, op)
-        times_ms[rep] = 1e3 * (time.perf_counter() - t0)
-        padded = np.zeros(ell)
-        padded[: min(ell, theta.size)] = theta[:ell]
-        thetas[rep] = padded
-        for i in range(ell):
-            out.add_raw(
-                {"rep": rep, "index": i + 1, "theta": padded[i], "time_ms": times_ms[rep]}
-            )
+    def rep(op):
+        # sts_singular_values returns min(s, n) >= ell values
+        (theta, _), secs = _timed(sts_singular_values, A, op)
+        return {"theta": theta[:ell], "time_ms": 1e3 * secs}
 
-    theta_mean = thetas.mean(axis=0)
-    mean_ms = float(times_ms.mean())
-    out.comment(f"time_full_svd_s={time_full:.6f} time_reference_s={time_ref:.6f}")
-    out.meta = {
+    raw = list(_repetitions(args, A, [s], rep))
+    mean = _means(raw, [s], args.reps, ["theta", "time_ms"])[0]
+    mean_ms = float(mean["time_ms"])
+    rows = [
+        {"index": i + 1, "sigma_full": sigma_full[i], "theta": mean["theta"][i],
+         "sigma_reference_method": ref_padded[i], "time_ms": mean_ms}
+        for i in range(ell)
+    ]
+    meta = {
         "command": "spectrum", "matrix": args.matrix, "sketch": args.sketch,
         "s": s, "reps": args.reps, "seed": args.seed, "ell": ell,
         "time_full_svd_s": time_full, "time_reference_s": time_ref,
         "mean_sketch_time_ms": mean_ms,
     }
-    for i in range(ell):
-        out.add(
-            {
-                "index": i + 1,
-                "sigma_full": sigma_full[i],
-                "theta": theta_mean[i],
-                "sigma_reference_method": ref_padded[i],
-                "time_ms": mean_ms,
-            }
-        )
-    out.flush()
+    comment = f"time_full_svd_s={time_full:.6f} time_reference_s={time_ref:.6f}"
+    raw_rows = [
+        {**r, "index": i + 1, "theta": r["theta"][i]} for r in raw for i in range(ell)
+    ]
+    _write(args, columns, rows, meta, [comment], raw_columns, raw_rows)
     return 0
 
 
@@ -275,55 +246,34 @@ def _check_eps(eps):
 
 def cmd_ortho(args):
     _check_eps(args.eps)
-    A = as_matrix(_load_matrix(args.matrix, args.matrix_seed))
-    m, n = A.shape
-    dims = _resolve_sketch_dims(args, n, m)
+    A, dims, _ = _setup(args)
     eps = args.eps
     bound_two = eps / (1.0 - eps)
-    bound_fro = np.sqrt(n) * bound_two
+    bound_fro = np.sqrt(A.shape[1]) * bound_two
 
-    out = _Output(
-        ["s", "fro_loss", "two_loss", "time_s"],
-        args.out,
-        raw_columns=["s", "rep", "fro_loss", "two_loss", "time_s"],
-        raw=args.raw,
+    def rep(op):
+        f, secs = _timed(sts_svd, A, op)
+        G = f.W.T @ f.W - np.eye(f.r)
+        return {"fro_loss": np.linalg.norm(G), "two_loss": np.linalg.norm(G, 2),
+                "time_s": secs}
+
+    raw = list(_repetitions(args, A, dims, rep))
+    violations = sum(
+        r["two_loss"] > bound_two or r["fro_loss"] > bound_fro for r in raw
     )
-    seeds = _seeds(args.seed, len(dims) * args.reps)
-    violations = 0
-    eye = np.eye(n)
-    for si, s in enumerate(dims):
-        fro = np.zeros(args.reps)
-        two = np.zeros(args.reps)
-        secs = np.zeros(args.reps)
-        for rep in range(args.reps):
-            op = build_sketch(args.sketch, s, m, seeds[si * args.reps + rep])
-            t0 = time.perf_counter()
-            f = sts_svd(A, op)
-            secs[rep] = time.perf_counter() - t0
-            G = f.W.T @ f.W - eye[: f.r, : f.r]
-            fro[rep] = np.linalg.norm(G)
-            two[rep] = np.linalg.norm(G, 2)
-            if two[rep] > bound_two or fro[rep] > bound_fro:
-                violations += 1
-            out.add_raw(
-                {"s": s, "rep": rep, "fro_loss": fro[rep], "two_loss": two[rep],
-                 "time_s": secs[rep]}
-            )
-        out.add(
-            {"s": s, "fro_loss": fro.mean(), "two_loss": two.mean(),
-             "time_s": secs.mean()}
-        )
-    out.comment(
-        f"asserted_eps={eps:g} bound_two={bound_two:.6g} bound_fro={bound_fro:.6g} "
-        f"violations={violations}"
-    )
-    out.meta = {
+    columns = ["fro_loss", "two_loss", "time_s"]
+    meta = {
         "command": "ortho", "matrix": args.matrix, "sketch": args.sketch,
         "s_list": dims, "reps": args.reps, "seed": args.seed,
         "asserted_eps": eps, "bound_two": bound_two, "bound_fro": bound_fro,
         "violations": violations,
     }
-    out.flush()
+    comment = (
+        f"asserted_eps={eps:g} bound_two={bound_two:.6g} bound_fro={bound_fro:.6g} "
+        f"violations={violations}"
+    )
+    _write(args, ["s"] + columns, _means(raw, dims, args.reps, columns), meta,
+           [comment], ["s", "rep"] + columns, raw)
     if args.strict and violations > 0:
         print(f"ortho: {violations} bound violations at eps={eps:g}", file=sys.stderr)
         return 4
@@ -332,75 +282,39 @@ def cmd_ortho(args):
 
 def cmd_nearest(args):
     _check_eps(args.eps)
-    A = as_matrix(_load_matrix(args.matrix, args.matrix_seed))
-    m, n = A.shape
-    dims = _resolve_sketch_dims(args, n, m)
+    A, dims, _ = _setup(args)
     Ad = to_dense(A)
 
-    t0 = time.perf_counter()
-    T = nearest_orthogonal(A).P
-    time_T = time.perf_counter() - t0
+    T, time_T = _timed(lambda: nearest_orthogonal(A).P)
     dist_AT = spectral_norm(Ad - T)
     # For full-column-rank A the ranges of T, T - Q_T, and A - T all lie in
     # Range(A), so one basis serves every distortion measurement.
     basis = range_basis(A, T)
-    # The sandwich is asserted at the user's eps (default 0.5), matching the
-    # probabilistic reading under which the reference tables are stated; the
-    # measured per-repetition distortion lands in the raw dump.
-    factor = args.eps / (1.0 - args.eps)
-    blowup = (1.0 + args.eps) / (1.0 - args.eps)
 
-    out = _Output(
-        ["s", "dist_A_P_2", "dist_P_T_2", "time_P_s", "sandwich_pass"],
-        args.out,
-        raw_columns=[
-            "s", "rep", "dist_A_P_2", "dist_P_T_2", "time_P_s",
-            "epsilon_emp", "sandwich_pass",
-        ],
-        raw=args.raw,
-    )
-    out.comment(f"time_T_s={time_T:.6f} dist_A_T_2={dist_AT:.17g}")
-    seeds = _seeds(args.seed, len(dims) * args.reps)
-    failures = 0
-    for si, s in enumerate(dims):
-        dAP = np.zeros(args.reps)
-        dPT = np.zeros(args.reps)
-        secs = np.zeros(args.reps)
-        passes = np.zeros(args.reps, dtype=bool)
-        for rep in range(args.reps):
-            op = build_sketch(args.sketch, s, m, seeds[si * args.reps + rep])
-            t0 = time.perf_counter()
-            f = sts_svd(A, op)
-            if f.r < n:
-                raise NumericalError(
-                    f"matrix lost column rank under sketching (r={f.r} < n={n})"
-                )
-            P = f.W @ f.V.T
-            secs[rep] = time.perf_counter() - t0
-            dAP[rep] = spectral_norm(Ad - P)
-            dPT[rep] = spectral_norm(P - T)
-            eps = empirical_epsilon(op, basis).epsilon_emp
-            ok = (dist_AT - factor <= dAP[rep] + 1e-10) and (
-                dAP[rep] <= blowup * dist_AT + factor + 1e-10
-            )
-            passes[rep] = ok
-            if not ok:
-                failures += 1
-            out.add_raw(
-                {"s": s, "rep": rep, "dist_A_P_2": dAP[rep], "dist_P_T_2": dPT[rep],
-                 "time_P_s": secs[rep], "epsilon_emp": eps, "sandwich_pass": ok}
-            )
-        out.add(
-            {"s": s, "dist_A_P_2": dAP.mean(), "dist_P_T_2": dPT.mean(),
-             "time_P_s": secs.mean(), "sandwich_pass": bool(passes.all())}
-        )
-    out.meta = {
+    def rep(op):
+        P, secs = _timed(lambda: nearest_sts_orthogonal(A, op).P)
+        dist_AP = spectral_norm(Ad - P)
+        # The sandwich is asserted at the user's eps (default 0.5), matching
+        # the probabilistic reading under which the reference tables are
+        # stated; the measured per-repetition distortion lands in the raw dump.
+        lower, upper = sandwich_bounds(dist_AP, dist_AT, args.eps)
+        return {"dist_A_P_2": dist_AP, "dist_P_T_2": spectral_norm(P - T),
+                "time_P_s": secs, "epsilon_emp": empirical_epsilon(op, basis).epsilon_emp,
+                "sandwich_pass": lower.passed and upper.passed}
+
+    raw = list(_repetitions(args, A, dims, rep))
+    failures = sum(not r["sandwich_pass"] for r in raw)
+    columns = ["dist_A_P_2", "dist_P_T_2", "time_P_s", "sandwich_pass"]
+    meta = {
         "command": "nearest", "matrix": args.matrix, "sketch": args.sketch,
         "s_list": dims, "reps": args.reps, "seed": args.seed,
         "asserted_eps": args.eps, "time_T_s": time_T,
         "dist_A_T_2": float(dist_AT), "sandwich_failures": failures,
     }
-    out.flush()
+    _write(args, ["s"] + columns, _means(raw, dims, args.reps, columns), meta,
+           [f"time_T_s={time_T:.6f} dist_A_T_2={dist_AT:.17g}"],
+           ["s", "rep", "dist_A_P_2", "dist_P_T_2", "time_P_s", "epsilon_emp",
+            "sandwich_pass"], raw)
     if args.strict and failures > 0:
         print(f"nearest: {failures} sandwich violations", file=sys.stderr)
         return 4
@@ -454,30 +368,21 @@ def _parser():
 
 
 def _apply_preset(args):
-    if args.preset is None:
-        if args.reps is None:
-            args.reps = 50
-        if args.sketch is None:
-            args.sketch = "srtt"
-        return
-    preset = PRESETS[(args.command, args.preset)]
-    if args.preset in _XL_PRESETS and not args.xl:
+    """Fill each option left unset from the preset, or without one from
+    ``_NO_PRESET``."""
+    if args.preset == "xl" and not args.xl:
         raise ValueError(
             f"preset '{args.preset}' is full-scale; pass --xl to confirm"
         )
-    if args.matrix is None:
-        if preset["matrix"] is None:
-            raise ValueError(
-                f"preset '{args.preset}' for {args.command} needs --matrix "
-                "pointing at the externally supplied collection file"
-            )
-        args.matrix = preset["matrix"]
-    if args.sketch is None:
-        args.sketch = preset["sketch"]
-    if args.s is None:
-        args.s = preset["s"]
-    if args.reps is None:
-        args.reps = preset["reps"]
+    preset = PRESETS[(args.command, args.preset)] if args.preset else _NO_PRESET
+    if args.preset and args.matrix is None and preset["matrix"] is None:
+        raise ValueError(
+            f"preset '{args.preset}' for {args.command} needs --matrix "
+            "pointing at the externally supplied collection file"
+        )
+    for key, value in preset.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def main(argv=None):
@@ -495,7 +400,8 @@ def main(argv=None):
             raise ValueError(f"{args.command} requires --matrix or --preset")
         if args.raw and args.out is None:
             raise ValueError("--raw requires --out")
-        args.matrix_seed = _seeds(args.seed, 1)[0]
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
         handler = {
             "spectrum": cmd_spectrum,
             "ortho": cmd_ortho,

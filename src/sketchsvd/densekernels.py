@@ -1,5 +1,5 @@
-"""Deterministic dense/sparse building blocks: QR, SVD, pseudo-inverse
-application, polar decomposition, and norms.
+"""Deterministic dense/sparse building blocks: QR, SVD, numerical rank,
+polar decomposition, and norms.
 
 Matrices are plain 2-d float64 ``numpy.ndarray`` objects or scipy CSR/CSC
 sparse matrices; helpers at the top of the module normalize and validate
@@ -109,28 +109,13 @@ def jacobi_svd(X):
     return SvdFactors(U=U, sigma=sva * (work[0] / work[1]), V=V)
 
 
-def pinv_apply(X, B, rtol=None):
-    """Apply the pseudo-inverse of ``X`` to ``B`` through a truncated SVD.
-
-    Singular values at or below ``rtol * sigma_max`` are treated as zero;
-    the default is ``max(m, n) * 2**-52``.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    m, n = X.shape
-    if B.shape[0] != m:
-        raise ShapeError(f"pinv_apply: X has {m} rows but B has {B.shape[0]}")
-    if rtol is None:
-        rtol = max(m, n) * _EPS  # eps == 2**-52
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    keep = s > rtol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    if not keep.any():
-        shape = (n,) if B.ndim == 1 else (n, B.shape[1])
-        return np.zeros(shape)
-    coeff = U[:, keep].T @ B
-    if B.ndim == 1:
-        return Vt[keep].T @ (coeff / s[keep])
-    return Vt[keep].T @ (coeff / s[keep][:, None])
+def numerical_rank(values, rel_threshold=1e-12):
+    """Count of the nonincreasing ``values`` exceeding ``rel_threshold``
+    times the first; zero when there are none or the first is not positive."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0 or values[0] <= 0.0:
+        return 0
+    return int((values > rel_threshold * values[0]).sum())
 
 
 def polar_factors(X):
@@ -162,15 +147,10 @@ def range_basis(*mats, rtol=None):
     """
     blocks = [to_dense(as_matrix(M)) for M in mats]
     X = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-    if X.shape[1] == 0:
-        return np.zeros((X.shape[0], 0))
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     if rtol is None:
         rtol = max(X.shape) * _EPS
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((X.shape[0], 0))
-    r = int((s > rtol * s[0]).sum())
-    return U[:, :r]
+    return U[:, : numerical_rank(s, rtol)]
 
 
 def fro_norm(X):

@@ -1,11 +1,14 @@
-"""Matrix Market reader/writer.
+"""File formats: the Matrix Market reader/writer, and the one CSV/JSONL
+serializer that every table and bound report is written through.
 
-Hand-rolled rather than delegated so parse failures carry 1-based line
-numbers.  Coordinate and array formats are supported for real-valued
-general, symmetric, and skew-symmetric matrices; duplicate coordinate
-entries are summed per the format's convention.  Pattern and complex
-fields are rejected as unsupported.
+The Matrix Market code is hand-rolled rather than delegated so parse
+failures carry 1-based line numbers.  Coordinate and array formats are
+supported for real-valued general, symmetric, and skew-symmetric matrices;
+duplicate coordinate entries are summed per the format's convention.
+Pattern and complex fields are rejected as unsupported.
 """
+
+import json
 
 import numpy as np
 import scipy.sparse as sp
@@ -186,3 +189,36 @@ def write_matrix_market(X, path, comment=None):
             for j in range(n):
                 for i in range(m):
                     fh.write(f"{X[i, j]:.17g}\n")
+
+
+def format_cell(x):
+    """One CSV cell: strings as they are, booleans as ``true``/``false``,
+    integers in decimal, floats in ``.17g`` (exact round trip)."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _write_lines(path_or_file, lines):
+    text = "".join(f"{line}\n" for line in lines)
+    if hasattr(path_or_file, "write"):
+        return path_or_file.write(text)
+    with open(path_or_file, "w", newline="") as fh:
+        fh.write(text)
+
+
+def write_csv(path_or_file, columns, rows, comments=()):
+    """Write ``# ``-prefixed comment lines, a header and one line per row
+    (cells by :func:`format_cell`), with LF line ends."""
+    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+    lines += [",".join(format_cell(row[c]) for c in columns) for row in rows]
+    _write_lines(path_or_file, lines)
+
+
+def write_jsonl(path_or_file, records):
+    """Write one JSON object per line; numpy scalars become Python values."""
+    _write_lines(path_or_file, [json.dumps(r, default=lambda x: x.item()) for r in records])

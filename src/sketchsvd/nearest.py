@@ -10,8 +10,6 @@ this module reports is evaluated at a measured distortion ``epsilon_emp``,
 so the pass flags are deterministic over the audited subspace.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +26,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
+from .matio import write_csv, write_jsonl
 from .sketchops import empirical_epsilon
 from .stssvd import sts_svd
 
@@ -262,6 +261,31 @@ def orthogonality_report(P, op, cert):
     return reports
 
 
+def sandwich_bounds(dist_AP, dist_AT, eps):
+    """The two sides of ``|A - T| - eps/(1-eps) <= |A - P| <=
+    (1+eps)/(1-eps) |A - T| + eps/(1-eps)`` for the spectral distances of A
+    to its sketch-orthogonal (P) and orthogonal (T) minimizers, as the
+    ``(lower, upper)`` pair of :class:`BoundReport`."""
+    factor = _loss_factor(eps)
+    blowup = (1.0 + eps) / (1.0 - eps) if eps < 1.0 else np.inf
+    lower = _report(
+        "nearest_sandwich_lower",
+        dist_AT - factor,
+        dist_AP,
+        eps,
+        "classical optimum minus the distortion penalty bounds the "
+        "sketched optimum from below",
+    )
+    upper = _report(
+        "nearest_sandwich_upper",
+        dist_AP,
+        blowup * dist_AT + factor,
+        eps,
+        "sketched optimum is within a distortion factor of the classical one",
+    )
+    return lower, upper
+
+
 def nearest_sandwich_report(A, op, rtol=None, cert=None):
     """Compare the two nearest-matrix minimizers in the spectral norm.
 
@@ -286,24 +310,7 @@ def nearest_sandwich_report(A, op, rtol=None, cert=None):
     dist_AP = spectral_norm(Ad - P)
     dist_AT = spectral_norm(Ad - T)
     dist_PT = spectral_norm(P - T)
-    factor = _loss_factor(eps)
-    blowup = (1.0 + eps) / (1.0 - eps) if eps < 1.0 else np.inf
-
-    lower = _report(
-        "nearest_sandwich_lower",
-        dist_AT - factor,
-        dist_AP,
-        eps,
-        "classical optimum minus the distortion penalty bounds the "
-        "sketched optimum from below",
-    )
-    upper = _report(
-        "nearest_sandwich_upper",
-        dist_AP,
-        blowup * dist_AT + factor,
-        eps,
-        "sketched optimum is within a distortion factor of the classical one",
-    )
+    lower, upper = sandwich_bounds(dist_AP, dist_AT, eps)
     return NearestSandwich(
         dist_sketched=float(dist_AP),
         dist_classical=float(dist_AT),
@@ -331,27 +338,12 @@ def _report_row(rep, matrix_id, s, seed):
 
 
 def bound_reports_to_csv(reports, path_or_file, matrix_id="", s="", seed=""):
-    """Write reports as CSV with the documented column set."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(_report_row(rep, matrix_id, s, seed))
-    finally:
-        if own:
-            fh.close()
+    """Write reports as CSV with the documented column set, in the format of
+    :func:`sketchsvd.matio.write_csv` (``true``/``false``, LF line ends)."""
+    rows = [_report_row(rep, matrix_id, s, seed) for rep in reports]
+    write_csv(path_or_file, _REPORT_FIELDS, rows)
 
 
 def bound_reports_to_jsonl(reports, path_or_file, matrix_id="", s="", seed=""):
     """Write reports as JSON lines mirroring the CSV columns."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        for rep in reports:
-            fh.write(json.dumps(_report_row(rep, matrix_id, s, seed)) + "\n")
-    finally:
-        if own:
-            fh.close()
-
+    write_jsonl(path_or_file, [_report_row(rep, matrix_id, s, seed) for rep in reports])

@@ -30,6 +30,7 @@ from .densekernels import (
     fro_norm,
     householder_qr,
     jacobi_svd,
+    numerical_rank,
     spectral_norm,
 )
 from .errors import RankDeficiencyError, ShapeError, SketchRankWarning
@@ -114,10 +115,7 @@ def sts_svd(A, op, rtol=None):
     if rtol is None:
         rtol = _default_rtol(op.s, n)
     theta_all, V_all = sts_singular_values(A, op)
-    if theta_all.size == 0 or theta_all[0] <= 0.0:
-        r = 0
-    else:
-        r = int((theta_all > rtol * theta_all[0]).sum())
+    r = numerical_rank(theta_all, rtol)
     if r == op.s and op.s < n:
         warnings.warn(
             "all sketch singular values retained with s < n: sketch "
@@ -201,10 +199,7 @@ def sts_svd_via_qr(A, op, rtol=None):
         rtol = _default_rtol(op.s, n)
     Q, R = sketched_qr(A, op)
     f = jacobi_svd(R)
-    if f.sigma.size == 0 or f.sigma[0] <= 0.0:
-        r = 0
-    else:
-        r = int((f.sigma > rtol * f.sigma[0]).sum())
+    r = numerical_rank(f.sigma, rtol)
     W = Q @ f.U[:, :r]
     return StsSvdFactors(
         W=W,
@@ -266,11 +261,3 @@ def compare_spectra(f, reference, cert, slack=1e-10):
     return SpectrumComparison(
         theta=theta, sigma=sigma, epsilon_emp=eps, flags=flags
     )
-
-
-def numerical_rank(values, rel_threshold=1e-12):
-    """Count of values exceeding ``rel_threshold`` times the largest."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0 or values[0] <= 0.0:
-        return 0
-    return int((values > rel_threshold * values[0]).sum())

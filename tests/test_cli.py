@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sketchsvd import read_matrix_market, write_matrix_market
+from sketchsvd import SketchRankWarning, cli, read_matrix_market, write_matrix_market
 from sketchsvd.cli import main
 
 
@@ -221,6 +221,36 @@ class TestNearest:
         row = out.read_text().splitlines()[2].split(",")
         assert float(row[1]) <= 1.5  # dist(A, P) small for orthogonal input
 
+    def test_rank_loss_is_input_error(self, capsys):
+        # s = 10 below n = 20: the sketch cannot keep full column rank
+        with pytest.warns(SketchRankWarning):
+            rc = run(["nearest", "--matrix", "randn:300,20", "--s", 10, "--reps", 1])
+        assert rc == 2
+        assert "full column rank" in capsys.readouterr().err
+
+
+class TestSeeding:
+    def test_repetition_seeds_differ_from_matrix_seed(self, monkeypatch, tmp_path):
+        # child 0 of the master seed belongs to the matrix
+        master = 7
+        child0 = np.random.SeedSequence(master).spawn(1)[0]
+        matrix_seed = int(child0.generate_state(1, np.uint64)[0])
+        seeds = []
+        build_sketch = cli.build_sketch
+
+        def recording_build_sketch(kind, s, m, seed):
+            seeds.append(seed)
+            return build_sketch(kind, s, m, seed)
+
+        monkeypatch.setattr(cli, "build_sketch", recording_build_sketch)
+        rc = run(
+            ["ortho", "--matrix", "randn:200,10", "--sketch", "gaussian",
+             "--s", "4n,6n", "--reps", 3, "--seed", master, "--out", tmp_path / "o.csv"]
+        )
+        assert rc == 0
+        assert len(seeds) == 6 and len(set(seeds)) == 6
+        assert matrix_seed not in seeds
+
 
 class TestPresets:
     def test_xl_preset_gated(self):
@@ -231,6 +261,9 @@ class TestPresets:
 
     def test_no_matrix(self):
         assert run(["spectrum"]) == 2
+
+    def test_reps_must_be_positive(self):
+        assert run(["ortho", "--matrix", "randn:50,5", "--s", 10, "--reps", 0]) == 2
 
     def test_raw_requires_out(self):
         assert run(

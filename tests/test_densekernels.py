@@ -8,7 +8,6 @@ from sketchsvd import (
     fro_norm,
     householder_qr,
     jacobi_svd,
-    pinv_apply,
     polar_factors,
     range_basis,
     spectral_norm,
@@ -157,41 +156,6 @@ class TestJacobiSVD:
                 reverse=True))
         f = jacobi_svd(X)
         assert np.max(np.abs(f.sigma - exact) / exact) <= 2e-15
-
-
-class TestPinvApply:
-    def test_invertible(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        np.testing.assert_allclose(pinv_apply(X, np.eye(3)), np.linalg.inv(X),
-                                   atol=1e-12)
-
-    def test_projector(self):
-        X = np.zeros((4, 4))
-        X[0, 0] = 1.0
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        np.testing.assert_allclose(pinv_apply(X, e1), e1, atol=1e-15)
-
-    def test_rank_deficient_vs_jacobi_composition(self):
-        # Oracle: pseudo-inverse assembled from the independent Jacobi SVD.
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
-        B = rng.standard_normal((5, 3))
-        f = jacobi_svd(X)
-        keep = f.sigma > 1e-10 * f.sigma[0]
-        oracle = (f.V[:, keep] / f.sigma[keep]) @ (f.U[:, keep].T @ B)
-        np.testing.assert_allclose(pinv_apply(X, B), oracle, atol=1e-10)
-
-    def test_moore_penrose_identity(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 5))
-        XplusX = pinv_apply(X, X)
-        np.testing.assert_allclose(X @ XplusX, X, atol=1e-10 * np.linalg.norm(X, 2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            pinv_apply(np.ones((3, 2)), np.ones(4))
 
 
 class TestPolarFactors:
