@@ -23,16 +23,16 @@ Conventions
   multiples of the column count (e.g. ``2n,4n``); without ``--s``, the
   dimension comes from ``(--eps, --delta)``.
 * Seeding: the master ``--seed`` spawns children through
-  ``numpy.random.SeedSequence``.  Child 0 seeds the matrix (generation,
-  and the start vector of the iterative reference spectrum); children 1,
+  ``numpy.random.SeedSequence``.  Child 0 seeds the matrix; children 1,
   2, ... seed the sketch operators, one per (sketch-dimension,
-  repetition) pair in output order.  Every run is reproducible and,
-  apart from wall-time columns, byte-identical.
+  repetition) pair in output order; ``spectrum`` seeds the start vector
+  of its iterative reference spectrum from the child after those.  Every
+  run is reproducible and, apart from wall-time columns, byte-identical.
 * ``--out PATH`` writes the CSV plus a ``PATH.jsonl`` mirror (one ``meta``
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` about 6 s; ``ortho`` about
+  ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about
   2.5 minutes and 0.7 GB peak memory, dominated by building the gaussian
   operator.  Full-scale presets are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
@@ -119,10 +119,10 @@ def _seeds(master, count):
 
 
 def _setup(args):
-    """The matrix of a run, its sketch dimensions (``--s``, or else the one
-    that ``(--eps, --delta)`` call for) and the matrix seed."""
-    matrix_seed = _seeds(args.seed, 1)[0]
-    A = _load_matrix(args.matrix, matrix_seed)
+    """The matrix of a run (from child 0 of the master seed) and its sketch
+    dimensions (``--s``, or else the one that ``(--eps, --delta)`` call
+    for)."""
+    A = _load_matrix(args.matrix, _seeds(args.seed, 1)[0])
     m, n = A.shape
     if args.s:
         dims = _parse_s_list(args.s, n)
@@ -131,7 +131,7 @@ def _setup(args):
             epsilon=args.eps, delta=args.delta, k=min(n, m), m=m, kind=args.sketch
         )
         dims = [sketch_dim(spec)]
-    return A, dims, matrix_seed
+    return A, dims
 
 
 def _repetitions(args, A, dims, rep):
@@ -186,7 +186,7 @@ def _write(args, columns, rows, meta, comments, raw_columns, raw_rows=()):
 
 
 def cmd_spectrum(args):
-    A, dims, matrix_seed = _setup(args)
+    A, dims = _setup(args)
     m, n = A.shape
     s = dims[0]
     ell = min(40, s, min(m, n))
@@ -201,7 +201,8 @@ def cmd_spectrum(args):
         return 0
 
     k_ref = min(ell, min(m, n) - 1)
-    rng = np.random.default_rng(matrix_seed)
+    # The child past the repetitions' children (1 .. reps): no other stream.
+    rng = np.random.default_rng(_seeds(args.seed, 2 + args.reps)[-1])
     ref_padded = np.full(ell, np.nan)
     t0 = time.perf_counter()
     if k_ref >= 1:
@@ -246,7 +247,7 @@ def _check_eps(eps):
 
 def cmd_ortho(args):
     _check_eps(args.eps)
-    A, dims, _ = _setup(args)
+    A, dims = _setup(args)
     eps = args.eps
     bound_two = eps / (1.0 - eps)
     bound_fro = np.sqrt(A.shape[1]) * bound_two
@@ -282,7 +283,7 @@ def cmd_ortho(args):
 
 def cmd_nearest(args):
     _check_eps(args.eps)
-    A, dims, _ = _setup(args)
+    A, dims = _setup(args)
     Ad = to_dense(A)
 
     T, time_T = _timed(lambda: nearest_orthogonal(A).P)

@@ -14,10 +14,6 @@ from scipy.linalg.lapack import dgejsv
 
 from .errors import NumericalError, PreconditionError, ShapeError
 
-# Below this column/row count spectral norms use a full SVD; above it, power
-# iteration on the Gram operator.
-SPECTRAL_NORM_CROSSOVER = 600
-
 _EPS = np.finfo(np.float64).eps
 
 
@@ -160,61 +156,19 @@ def fro_norm(X):
     return float(np.linalg.norm(np.asarray(X, dtype=np.float64)))
 
 
-def spectral_norm(X, tol=1e-9, max_iter=5000, seed=0):
-    """Largest singular value of ``X``.
+def spectral_norm(X):
+    """Largest singular value of ``X``, dense or sparse: the square root of
+    the largest eigenvalue of the smaller Gram matrix (``X^T X`` or
+    ``X X^T``), which costs ``min(m, n)^2`` memory.
 
-    Uses a full SVD when ``min(m, n) <= SPECTRAL_NORM_CROSSOVER`` (dense
-    input) or a dense Gram eigendecomposition (sparse input); otherwise a
-    seeded power iteration on the Gram operator.
-
-    Raises
-    ------
-    NumericalError
-        When power iteration fails to settle; ``estimate`` on the exception
-        carries the best value found.
+    ``X`` is first scaled to a largest entry of 1, so the squared entries
+    of the Gram matrix neither overflow nor underflow.
     """
     X = as_matrix(X)
-    m, n = X.shape
-    if m == 0 or n == 0:
+    scale = abs(X).max() if min(X.shape) else 0.0
+    if scale == 0.0:
         return 0.0
-    if min(m, n) <= SPECTRAL_NORM_CROSSOVER:
-        if sp.issparse(X):
-            G = (X.T @ X).toarray() if m >= n else (X @ X.T).toarray()
-            lam = np.linalg.eigvalsh(G)[-1]
-            return float(np.sqrt(max(lam, 0.0)))
-        return float(np.linalg.svd(X, compute_uv=False)[0]) if X.size else 0.0
-
-    # Power iteration on X^T X (or X X^T, whichever is smaller).  The
-    # stopping rule extrapolates the geometric convergence rate from
-    # successive increments, so small spectral gaps do not cause premature
-    # termination.
-    transpose = m < n
-    A = X.T if transpose else X
-    k = A.shape[1]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    prev_delta = np.inf
-    for _ in range(max_iter):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_est = nw
-        v = A.T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float(new_est)
-        v /= nv
-        delta = abs(new_est - est)
-        rho = min(delta / prev_delta, 0.999) if prev_delta > 0 else 0.0
-        tail = delta * rho / (1.0 - rho)
-        if delta <= tol * new_est and tail <= tol * new_est:
-            return float(new_est)
-        est = new_est
-        prev_delta = delta if delta > 0 else prev_delta
-    raise NumericalError(
-        f"power iteration did not converge in {max_iter} iterations",
-        estimate=float(est),
-    )
+    X = X / scale
+    G = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+    lam = np.linalg.eigvalsh(to_dense(G))[-1]
+    return float(scale * np.sqrt(max(lam, 0.0)))

@@ -50,9 +50,6 @@ class SketchRankWarning(UserWarning):
 
 
 class NumericalError(RuntimeError):
-    """An iterative kernel failed to converge or produced non-finite values.
-    ``estimate`` carries the best available result when one exists."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A numerical kernel failed: LAPACK's Jacobi SVD did not converge, a
+    sketched Gram matrix is indefinite or singular, or a matrix holds
+    non-finite entries."""

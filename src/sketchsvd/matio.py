@@ -1,166 +1,61 @@
-"""File formats: the Matrix Market reader/writer, and the one CSV/JSONL
-serializer that every table and bound report is written through.
+"""File formats: Matrix Market reading and writing through ``scipy.io``,
+and the one CSV/JSONL serializer that every table and bound report is
+written through.
 
-The Matrix Market code is hand-rolled rather than delegated so parse
-failures carry 1-based line numbers.  Coordinate and array formats are
-supported for real-valued general, symmetric, and skew-symmetric matrices;
-duplicate coordinate entries are summed per the format's convention.
-Pattern and complex fields are rejected as unsupported.
+Matrix Market is the NIST exchange format (Boisvert, Pozo & Remington,
+"The Matrix Market Exchange Formats: Initial Design", 1996).  Coordinate
+and array files with a ``real`` or ``integer`` field and ``general``,
+``symmetric`` or ``skew-symmetric`` symmetry are read; symmetric storage
+is expanded and duplicate coordinate entries are summed.  ``pattern``,
+``complex`` and ``hermitian`` files raise UnsupportedFormatError.
+Comment (``%``) and blank lines may stand only between the header and the
+size line; a comment among the entries is a ParseError.  Parse failures
+carry the 1-based line number whenever scipy reports one.
 """
 
 import json
+import re
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
-from .densekernels import to_dense
 from .errors import ParseError, UnsupportedFormatError
 
-_HEADER_PREFIX = "%%matrixmarket"
+_FIELDS = ("real", "integer")
+_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+# scipy's reader prefixes most messages with the line they concern.
+_SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
+
+
+def _scipy_io(fn, path):
+    """``fn(path)``, with scipy's ``ValueError`` turned into a ParseError."""
+    try:
+        return fn(path)
+    except ValueError as exc:
+        match = _SCIPY_LINE.match(str(exc))
+        if match:
+            raise ParseError(match[2], line=int(match[1])) from None
+        raise ParseError(str(exc)) from None
 
 
 def read_matrix_market(path):
     """Parse a Matrix Market file.
 
-    Returns a CSR matrix for coordinate files and a dense ndarray for
-    array files.  Symmetric/skew-symmetric storage is expanded; indices
-    are converted from 1-based.
+    Returns a float64 CSR matrix for coordinate files and a float64 dense
+    ndarray for array files.
     """
-    with open(path, "r", encoding="latin-1") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-
-    header = lines[0].strip().lower().split()
-    if len(header) != 5 or header[0] != _HEADER_PREFIX or header[1] != "matrix":
-        raise ParseError(
-            "expected '%%MatrixMarket matrix <format> <field> <symmetry>'",
-            line=1,
-        )
-    fmt, field, symmetry = header[2], header[3], header[4]
-    if fmt not in ("coordinate", "array"):
-        raise ParseError(f"unknown format {fmt!r}", line=1)
-    if field == "complex":
-        raise UnsupportedFormatError("complex matrices are not supported")
-    if field not in ("real", "integer"):
-        raise UnsupportedFormatError(f"unsupported field {field!r}")
-    if symmetry == "hermitian":
-        raise UnsupportedFormatError("hermitian symmetry is not supported")
-    if symmetry not in ("general", "symmetric", "skew-symmetric"):
-        raise ParseError(f"unknown symmetry {symmetry!r}", line=1)
-
-    # Skip comments and blank lines to the size line.
-    idx = 1
-    while idx < len(lines) and (
-        lines[idx].lstrip().startswith("%") or not lines[idx].strip()
-    ):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("missing size line", line=len(lines))
-
-    size_parts = lines[idx].split()
-    size_line = idx + 1
-    if fmt == "coordinate":
-        if len(size_parts) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_line)
-        try:
-            m, n, nnz = (int(p) for p in size_parts)
-        except ValueError:
-            raise ParseError("non-integer size entry", line=size_line) from None
-        return _read_coordinate(lines, idx + 1, m, n, nnz, symmetry)
-    if len(size_parts) != 2:
-        raise ParseError("array size line needs 'rows cols'", line=size_line)
-    try:
-        m, n = (int(p) for p in size_parts)
-    except ValueError:
-        raise ParseError("non-integer size entry", line=size_line) from None
-    return _read_array(lines, idx + 1, m, n, symmetry)
-
-
-def _read_coordinate(lines, start, m, n, nnz, symmetry):
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for offset, raw in enumerate(lines[start:], start=start):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        if count >= nnz:
-            raise ParseError(f"more than the declared {nnz} entries", line=offset + 1)
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 'row col value', got {len(parts)} fields", line=offset + 1
-            )
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            v = float(parts[2])
-        except ValueError:
-            raise ParseError(f"malformed entry {text!r}", line=offset + 1) from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ParseError(
-                f"index ({i}, {j}) outside {m} x {n}", line=offset + 1
-            )
-        rows[count] = i - 1
-        cols[count] = j - 1
-        vals[count] = v
-        count += 1
-    if count != nnz:
-        raise ParseError(
-            f"declared {nnz} entries but found {count}", line=len(lines)
-        )
-    if symmetry in ("symmetric", "skew-symmetric"):
-        off = rows != cols
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        mirrored = (cols[off], rows[off], sign * vals[off])
-        rows = np.concatenate([rows, mirrored[0]])
-        cols = np.concatenate([cols, mirrored[1]])
-        vals = np.concatenate([vals, mirrored[2]])
-    # Duplicates are summed by the sparse constructor.
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-
-
-def _read_array(lines, start, m, n, symmetry):
-    expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    if symmetry == "skew-symmetric":
-        expected = m * (m - 1) // 2
-    vals = np.empty(expected, dtype=np.float64)
-    count = 0
-    for offset, raw in enumerate(lines[start:], start=start):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        if count >= expected:
-            raise ParseError(
-                f"more than the expected {expected} entries", line=offset + 1
-            )
-        try:
-            vals[count] = float(text)
-        except ValueError:
-            raise ParseError(f"malformed entry {text!r}", line=offset + 1) from None
-        count += 1
-    if count != expected:
-        raise ParseError(
-            f"expected {expected} entries but found {count}", line=len(lines)
-        )
-    A = np.zeros((m, n))
-    if symmetry == "general":
-        # Column-major order per the format.
-        A[:] = vals.reshape((n, m)).T
-        return A
-    if m != n:
-        raise ParseError("symmetric array storage requires a square matrix", line=1)
-    k = 0
-    for j in range(n):
-        start_i = j + 1 if symmetry == "skew-symmetric" else j
-        for i in range(start_i, m):
-            A[i, j] = vals[k]
-            k += 1
-    lower = np.tril(A, -1)
-    A = A + (-(lower.T) if symmetry == "skew-symmetric" else lower.T)
-    return A
+    m, n, _, _, field, symmetry = _scipy_io(scipy.io.mminfo, path)
+    if field not in _FIELDS or symmetry not in _SYMMETRIES:
+        raise UnsupportedFormatError(f"{field} {symmetry} matrices are not supported")
+    if symmetry != "general" and m != n:
+        # scipy does not check this: it mirrors entries outside the matrix,
+        # and a non-square symmetric array file aborts the process.
+        raise ParseError(f"{symmetry} storage needs a square matrix, got {m} x {n}")
+    A = _scipy_io(scipy.io.mmread, path)
+    if sp.issparse(A):
+        return sp.csr_matrix(A, dtype=np.float64)
+    return np.asarray(A, dtype=np.float64)
 
 
 def write_matrix_market(X, path, comment=None):
@@ -170,25 +65,7 @@ def write_matrix_market(X, path, comment=None):
     format; both as ``real general`` with full float64 round-trip
     precision.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        if sp.issparse(X):
-            X = X.tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{X.shape[0]} {X.shape[1]} {X.nnz}\n")
-            for i, j, v in zip(X.row, X.col, X.data):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            X = to_dense(X)
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            m, n = X.shape
-            fh.write(f"{m} {n}\n")
-            for j in range(n):
-                for i in range(m):
-                    fh.write(f"{X[i, j]:.17g}\n")
+    scipy.io.mmwrite(path, X, comment=comment, field="real", symmetry="general")
 
 
 def format_cell(x):

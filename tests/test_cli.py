@@ -251,6 +251,27 @@ class TestSeeding:
         assert len(seeds) == 6 and len(set(seeds)) == 6
         assert matrix_seed not in seeds
 
+    def test_svds_start_vector_is_not_a_matrix_row(self, monkeypatch):
+        # randn:M,N draws A from child 0; the start vector must not reuse it
+        master = 3
+        child0 = np.random.SeedSequence(master).spawn(1)[0]
+        A = np.random.default_rng(
+            int(child0.generate_state(1, np.uint64)[0])
+        ).standard_normal((300, 8))
+        starts = []
+        svds = cli.scipy.sparse.linalg.svds
+
+        def recording_svds(*args, v0=None, **kwargs):
+            starts.append(v0)
+            return svds(*args, v0=v0, **kwargs)
+
+        monkeypatch.setattr(cli.scipy.sparse.linalg, "svds", recording_svds)
+        rc = run(["spectrum", "--matrix", "randn:300,8", "--s", "4n", "--reps", 2,
+                  "--seed", master])
+        assert rc == 0
+        assert len(starts) == 1 and starts[0].shape == (8,)
+        assert not np.allclose(starts[0], A[0, :])
+
 
 class TestPresets:
     def test_xl_preset_gated(self):

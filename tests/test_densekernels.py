@@ -14,7 +14,6 @@ from sketchsvd import (
 )
 from sketchsvd import densekernels
 from sketchsvd.cli import main
-from sketchsvd.densekernels import SPECTRAL_NORM_CROSSOVER
 import scipy.sparse as sp
 
 
@@ -211,20 +210,27 @@ class TestNorms:
         ref = np.linalg.svd(X, compute_uv=False)[0]
         assert spectral_norm(X) == pytest.approx(ref, rel=1e-8)
 
-    def test_spectral_power_iteration_path(self):
-        n = SPECTRAL_NORM_CROSSOVER + 20
+    def test_spectral_large(self):
+        n = 620
         rng = np.random.default_rng(14)
         X = rng.standard_normal((n + 30, n))
         ref = np.linalg.svd(X, compute_uv=False)[0]
         assert spectral_norm(X) == pytest.approx(ref, rel=1e-8)
 
-    def test_power_iteration_failure_carries_estimate(self):
-        n = SPECTRAL_NORM_CROSSOVER + 10
-        X = np.random.default_rng(19).standard_normal((n + 5, n))
-        with pytest.raises(NumericalError) as err:
-            spectral_norm(X, max_iter=2)
-        assert err.value.estimate is not None
-        assert err.value.estimate > 0
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_spectral_extreme_scale(self, scale):
+        # the Gram matrix of the unscaled input would underflow / overflow
+        X = np.random.default_rng(17).standard_normal((40, 6))
+        ref = np.linalg.svd(X, compute_uv=False)[0]
+        assert spectral_norm(scale * X) / scale == pytest.approx(ref, rel=1e-12)
+        assert spectral_norm(sp.csr_matrix(scale * X)) / scale == pytest.approx(
+            ref, rel=1e-12
+        )
+
+    def test_spectral_wide(self):
+        X = np.random.default_rng(18).standard_normal((7, 90))
+        ref = np.linalg.svd(X, compute_uv=False)[0]
+        assert spectral_norm(X) == pytest.approx(ref, rel=1e-12)
 
     def test_spectral_sparse(self):
         rng = np.random.default_rng(15)

@@ -40,13 +40,24 @@ class TestReadCoordinate:
         path = write(
             tmp_path,
             "%%MatrixMarket matrix coordinate real general\n"
-            "% a comment\n\n2 3 2\n% mid comment\n1 2 4.5\n\n2 3 -1.5\n",
+            "% a comment\n\n2 3 2\n1 2 4.5\n\n2 3 -1.5\n",
         )
         A = read_matrix_market(path).toarray()
         expected = np.zeros((2, 3))
         expected[0, 1] = 4.5
         expected[1, 2] = -1.5
         np.testing.assert_allclose(A, expected)
+
+    def test_body_comment_rejected(self, tmp_path):
+        # the format allows comments only before the size line
+        path = write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a comment\n\n2 3 2\n% mid comment\n1 2 4.5\n\n2 3 -1.5\n",
+        )
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 5
 
     def test_symmetric_expansion(self, tmp_path):
         path = write(
@@ -74,8 +85,9 @@ class TestReadCoordinate:
             tmp_path,
             "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 7\n",
         )
-        A = read_matrix_market(path).toarray()
-        assert A[0, 1] == 7.0
+        A = read_matrix_market(path)
+        assert A.format == "csr" and A.dtype == np.float64
+        assert A.toarray()[0, 1] == 7.0
 
 
 class TestReadArray:
@@ -122,7 +134,7 @@ class TestErrors:
             tmp_path,
             "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
         )
-        with pytest.raises(ParseError, match="declared 3"):
+        with pytest.raises(ParseError, match="Truncated file"):
             read_matrix_market(path)
 
     def test_index_out_of_range(self, tmp_path):
@@ -134,20 +146,29 @@ class TestErrors:
             read_matrix_market(path)
         assert err.value.line == 3
 
-    def test_complex_unsupported(self, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, entry",
+        [("pattern general", "1 1"), ("complex general", "1 1 1.0 0.0"),
+         ("complex hermitian", "1 1 1.0 0.0")],
+        ids=["pattern", "complex", "hermitian"],
+    )
+    def test_unsupported_variant(self, tmp_path, variant, entry):
+        # scipy.io.mmread reads all three; the reader must refuse them
         path = write(
             tmp_path,
-            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
+            f"%%MatrixMarket matrix coordinate {variant}\n1 1 1\n{entry}\n",
         )
         with pytest.raises(UnsupportedFormatError):
             read_matrix_market(path)
 
-    def test_pattern_unsupported(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["coordinate", "array"])
+    def test_non_square_symmetric(self, tmp_path, fmt):
+        size, body = ("2 3 1", "1 1 1.0") if fmt == "coordinate" else ("2 3", "1\n2\n3")
         path = write(
             tmp_path,
-            "%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n",
+            f"%%MatrixMarket matrix {fmt} real symmetric\n{size}\n{body}\n",
         )
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(ParseError, match="square"):
             read_matrix_market(path)
 
     def test_empty_file(self, tmp_path):
@@ -158,8 +179,9 @@ class TestErrors:
         path = write(
             tmp_path, "%%MatrixMarket matrix coordinate real general\n% only\n"
         )
-        with pytest.raises(ParseError, match="size"):
+        with pytest.raises(ParseError, match="Premature EOF") as err:
             read_matrix_market(path)
+        assert err.value.line == 3
 
 
 class TestRoundTrip:
