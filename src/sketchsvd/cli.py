@@ -33,8 +33,9 @@ Conventions
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
   ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about
-  2.5 minutes and 0.7 GB peak memory, dominated by building the gaussian
-  operator.  Full-scale presets are gated behind ``--xl``.
+  2 minutes and 0.4 GB peak memory (one 2000 x 20000 gaussian table at a
+  time), dominated by building the gaussian operator.  Full-scale presets
+  are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4
   asserted bounds violated (only with ``--strict``).
@@ -145,8 +146,9 @@ def _repetitions(args, A, dims, rep):
     seeds = iter(_seeds(args.seed, 1 + len(dims) * args.reps)[1:])
     for s in dims:
         for r in range(args.reps):
-            op = build_sketch(args.sketch, s, A.shape[0], next(seeds))
-            yield {"s": s, "rep": r, **rep(op)}
+            # No name here holds the operator, so it is freed when rep returns.
+            record = rep(build_sketch(args.sketch, s, A.shape[0], next(seeds)))
+            yield {"s": s, "rep": r, **record}
 
 
 def _means(raw, dims, reps, columns):

@@ -6,7 +6,8 @@ Matrix Market is the NIST exchange format (Boisvert, Pozo & Remington,
 "The Matrix Market Exchange Formats: Initial Design", 1996).  Coordinate
 and array files with a ``real`` or ``integer`` field and ``general``,
 ``symmetric`` or ``skew-symmetric`` symmetry are read; symmetric storage
-is expanded and duplicate coordinate entries are summed.  ``pattern``,
+is expanded and duplicate coordinate entries are summed; a nonzero
+diagonal entry in a ``skew-symmetric`` file is a ParseError.  ``pattern``,
 ``complex`` and ``hermitian`` files raise UnsupportedFormatError.
 Comment (``%``) and blank lines may stand only between the header and the
 size line; a comment among the entries is a ParseError.  Parse failures
@@ -53,6 +54,10 @@ def read_matrix_market(path):
         # and a non-square symmetric array file aborts the process.
         raise ParseError(f"{symmetry} storage needs a square matrix, got {m} x {n}")
     A = _scipy_io(scipy.io.mmread, path)
+    if symmetry == "skew-symmetric" and A.diagonal().any():
+        # The format stores only the strictly lower triangle here; scipy
+        # keeps a diagonal entry and returns a matrix that is not skew.
+        raise ParseError("skew-symmetric storage has a nonzero diagonal entry")
     if sp.issparse(A):
         return sp.csr_matrix(A, dtype=np.float64)
     return np.asarray(A, dtype=np.float64)

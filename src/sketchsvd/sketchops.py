@@ -38,6 +38,11 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 # in bounded batches).
 _SRTT_BLOCK = 64
 
+# Row block size used when a gaussian operator is applied to sparse input:
+# scipy copies the dense operand of a sparse product into C order, so each
+# product sees only this many rows of the (s, m) table.
+_GAUSSIAN_ROWS = 32
+
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
@@ -182,7 +187,9 @@ class SketchOperator:
     def apply(self, X):
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
-        and sparse-sign kinds."""
+        and sparse-sign kinds; for the gaussian kind it costs
+        O(``_GAUSSIAN_ROWS`` * m) memory beyond the output, one row block
+        of the table at a time."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -191,7 +198,7 @@ class SketchOperator:
         self._check_rows(X)
         if self.kind == "gaussian":
             if sp.issparse(X):
-                out = np.ascontiguousarray((X.T @ self._dense.T).T)
+                out = self._apply_gaussian_sparse(X)
             else:
                 out = self._dense @ X
         elif self.kind == "sparse-sign":
@@ -201,6 +208,14 @@ class SketchOperator:
         else:
             out = self._apply_srtt(X)
         return out[:, 0] if vector else out
+
+    def _apply_gaussian_sparse(self, X):
+        out = np.empty((self.s, X.shape[1]))
+        Xt = X.T.tocsr()
+        for i0 in range(0, self.s, _GAUSSIAN_ROWS):
+            i1 = min(i0 + _GAUSSIAN_ROWS, self.s)
+            out[i0:i1] = (Xt @ self._dense[i0:i1].T).T
+        return out
 
     def _apply_srtt(self, X):
         if sp.issparse(X):

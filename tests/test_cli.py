@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -160,6 +161,23 @@ class TestOrtho:
         assert rc == 0
         meta = json.loads((tmp_path / "ortho.csv.jsonl").read_text().splitlines()[0])
         assert meta["violations"] > 0
+
+    def test_each_operator_freed_before_next_build(self, monkeypatch):
+        # only one gaussian table may be alive at a time
+        alive = []
+        build_sketch = cli.build_sketch
+
+        def checking_build_sketch(*args):
+            assert all(ref() is None for ref in alive)
+            op = build_sketch(*args)
+            alive.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(cli, "build_sketch", checking_build_sketch)
+        rc = run(["ortho", "--matrix", "sprand:400,10,0.05,1e6", "--sketch",
+                  "gaussian", "--s", "8n,12n", "--reps", 3])
+        assert rc == 0
+        assert len(alive) == 6
 
     def test_bad_eps(self):
         assert run(

@@ -80,6 +80,16 @@ class TestReadCoordinate:
         A = read_matrix_market(path).toarray()
         np.testing.assert_allclose(A, [[0, -5], [5, 0]], atol=0)
 
+    def test_skew_symmetric_diagonal_rejected(self, tmp_path):
+        # skew-symmetric storage holds the strictly lower triangle only
+        path = write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+            "2 2 2\n1 1 5.0\n2 1 3.0\n",
+        )
+        with pytest.raises(ParseError, match="diagonal"):
+            read_matrix_market(path)
+
     def test_integer_field(self, tmp_path):
         path = write(
             tmp_path,

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +17,7 @@ from sketchsvd import (
     sketch_dim,
     sketched_qr,
 )
-from sketchsvd.sketchops import KINDS, dct2_matrix
+from sketchsvd.sketchops import _GAUSSIAN_ROWS, KINDS, dct2_matrix
 
 
 class TestSketchDim:
@@ -83,12 +86,20 @@ class TestBuildSketch:
         s, m, n_builds = 4, 8, 10_000
         total = np.zeros(n_builds)
         for seed in range(n_builds):
-            E = build_sketch("gaussian", s, m, seed=seed)._dense
+            E = build_sketch("gaussian", s, m, seed=seed).materialize()
             total[seed] = (E * E).mean()
         grand = total.mean()
         # each entry^2 is (1/s) * chi2_1: var = 2/s^2 per entry
         se = np.sqrt(2.0 / s**2 / (n_builds * s * m))
         assert abs(grand - 1.0 / s) <= 3 * se
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _GAUSSIAN_ROWS + 1])
+    def test_gaussian_table_is_one_draw(self, extra):
+        # the whole table comes from one standard_normal call on the seed
+        s, m, seed = _GAUSSIAN_ROWS + extra, 150, 17
+        expected = np.random.default_rng(seed).standard_normal((s, m)) / math.sqrt(s)
+        op = build_sketch("gaussian", s, m, seed)
+        assert np.array_equal(op.materialize(), expected)
 
     def test_sparse_sign_column_structure(self):
         op = build_sketch("sparse-sign", 16, 100, seed=1)
@@ -148,6 +159,28 @@ class TestApply:
         X = NoDense(sp.random_array((100, 5), density=0.1, rng=rng))
         for kind in ("gaussian", "sparse-sign"):
             build_sketch(kind, 20, 100, seed=1).apply(X)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_gaussian_sparse_row_blocks_bitwise(self, fmt):
+        # row blocks of the table give the same bits as one sparse product
+        rng = np.random.default_rng(23)
+        X = sp.random_array((300, 7), density=0.05, rng=rng, format=fmt)
+        op = build_sketch("gaussian", 2 * _GAUSSIAN_ROWS + 1, 300, seed=24)
+        expected = (X.T @ op.materialize().T).T
+        assert np.array_equal(op.apply(X), expected)
+
+    def test_gaussian_sparse_apply_memory(self):
+        # an 8 MB table; the apply must not copy it whole
+        op = build_sketch("gaussian", 100, 10_000, seed=25)
+        table_bytes = 100 * 10_000 * 8
+        X = sp.random_array((10_000, 20), density=0.01, rng=26, format="csr")
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2
 
     def test_srtt_sparse_crosses_column_blocks(self):
         # more columns than the internal densification block
