@@ -9,6 +9,7 @@ checked deterministically over the audited subspace.
 """
 
 from .densekernels import (
+    PolarPair,
     SvdFactors,
     fro_norm,
     householder_qr,
@@ -33,9 +34,6 @@ from .matio import read_matrix_market, write_matrix_market
 from .nearest import (
     BoundReport,
     NearestSandwich,
-    PolarPair,
-    bound_reports_to_csv,
-    bound_reports_to_jsonl,
     nearest_orthogonal,
     nearest_sandwich_report,
     nearest_sts_orthogonal,
@@ -87,8 +85,6 @@ __all__ = [
     "StsSvdFactors",
     "SvdFactors",
     "UnsupportedFormatError",
-    "bound_reports_to_csv",
-    "bound_reports_to_jsonl",
     "build_sketch",
     "compare_spectra",
     "empirical_epsilon",

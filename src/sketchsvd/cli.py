@@ -49,12 +49,14 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .densekernels import (
-    as_matrix, check_finite, numerical_rank, range_basis, spectral_norm, to_dense
+    as_matrix, check_finite, numerical_rank, spectral_norm, to_dense
 )
 from .errors import NumericalError
 from .generators import CauchySpec, gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
-from .nearest import nearest_orthogonal, nearest_sts_orthogonal, sandwich_bounds
+from .nearest import (
+    loss_bounds, nearest_orthogonal, nearest_sts_orthogonal, sandwich_bounds
+)
 from .sketchops import KINDS, EmbeddingSpec, build_sketch, empirical_epsilon, sketch_dim
 from .stssvd import sts_singular_values, sts_svd
 
@@ -251,8 +253,6 @@ def cmd_ortho(args):
     _check_eps(args.eps)
     A, dims = _setup(args)
     eps = args.eps
-    bound_two = eps / (1.0 - eps)
-    bound_fro = np.sqrt(A.shape[1]) * bound_two
 
     def rep(op):
         f, secs = _timed(sts_svd, A, op)
@@ -261,9 +261,9 @@ def cmd_ortho(args):
                 "time_s": secs}
 
     raw = list(_repetitions(args, A, dims, rep))
-    violations = sum(
-        r["two_loss"] > bound_two or r["fro_loss"] > bound_fro for r in raw
-    )
+    bounds = [loss_bounds(r["two_loss"], r["fro_loss"], A.shape[1], eps) for r in raw]
+    violations = sum(not (two.passed and fro.passed) for two, fro in bounds)
+    bound_two, bound_fro = (b.rhs for b in bounds[0])
     columns = ["fro_loss", "two_loss", "time_s"]
     meta = {
         "command": "ortho", "matrix": args.matrix, "sketch": args.sketch,
@@ -290,9 +290,6 @@ def cmd_nearest(args):
 
     T, time_T = _timed(lambda: nearest_orthogonal(A).P)
     dist_AT = spectral_norm(Ad - T)
-    # For full-column-rank A the ranges of T, T - Q_T, and A - T all lie in
-    # Range(A), so one basis serves every distortion measurement.
-    basis = range_basis(A, T)
 
     def rep(op):
         P, secs = _timed(lambda: nearest_sts_orthogonal(A, op).P)
@@ -300,9 +297,11 @@ def cmd_nearest(args):
         # The sandwich is asserted at the user's eps (default 0.5), matching
         # the probabilistic reading under which the reference tables are
         # stated; the measured per-repetition distortion lands in the raw dump.
+        # A has full column rank here (nearest_sts_orthogonal checked it), so
+        # T is an orthonormal basis of Range(A): the certificate's subspace.
         lower, upper = sandwich_bounds(dist_AP, dist_AT, args.eps)
         return {"dist_A_P_2": dist_AP, "dist_P_T_2": spectral_norm(P - T),
-                "time_P_s": secs, "epsilon_emp": empirical_epsilon(op, basis).epsilon_emp,
+                "time_P_s": secs, "epsilon_emp": empirical_epsilon(op, T).epsilon_emp,
                 "sandwich_pass": lower.passed and upper.passed}
 
     raw = list(_repetitions(args, A, dims, rep))

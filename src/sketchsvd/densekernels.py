@@ -46,6 +46,23 @@ class SvdFactors:
     V: np.ndarray
 
 
+@dataclass(frozen=True)
+class PolarPair:
+    """Polar-style factorization ``X = P @ H``.
+
+    ``mode`` records the orthogonality of P: ``"orthogonal"`` for
+    ``P^T P = I`` or ``"s-orthogonal"`` for ``(SP)^T (SP) = I``.  H is
+    symmetric positive semidefinite in either mode.
+    """
+
+    P: np.ndarray
+    H: np.ndarray
+    mode: str
+
+    def reconstruct(self):
+        return self.P @ self.H
+
+
 def householder_qr(X):
     """Thin QR factorization with a nonnegative-diagonal sign convention.
 
@@ -121,8 +138,6 @@ def polar_factors(X):
     in both the spectral and Frobenius norms; ``H`` is symmetric positive
     semidefinite.  Requires ``m >= n``.
     """
-    from .nearest import PolarPair
-
     X = to_dense(as_matrix(X))
     m, n = X.shape
     if m < n:

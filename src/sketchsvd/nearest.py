@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densekernels import (
+    PolarPair,
     as_matrix,
     polar_factors,
-    range_basis,
     spectral_norm,
     to_dense,
 )
@@ -26,28 +26,10 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from .matio import write_csv, write_jsonl
 from .sketchops import empirical_epsilon
 from .stssvd import sts_svd
 
 PASS_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class PolarPair:
-    """Polar-style factorization ``X = P @ H``.
-
-    ``mode`` records the orthogonality of P: ``"orthogonal"`` for
-    ``P^T P = I`` or ``"s-orthogonal"`` for ``(SP)^T (SP) = I``.  H is
-    symmetric positive semidefinite in either mode.
-    """
-
-    P: np.ndarray
-    H: np.ndarray
-    mode: str
-
-    def reconstruct(self):
-        return self.P @ self.H
 
 
 @dataclass(frozen=True)
@@ -163,6 +145,30 @@ def _loss_factor(eps):
     return eps / (1.0 - eps) if eps < 1.0 else np.inf
 
 
+def loss_bounds(gram_two, gram_fro, n, eps):
+    """The orthogonality loss of an n-column sketch-orthonormal matrix,
+    ``|P^T P - I|`` in the spectral (``gram_two``) and Frobenius
+    (``gram_fro``) norms, against ``eps/(1-eps)`` and
+    ``sqrt(n) * eps/(1-eps)``, as the ``(two, fro)`` pair of
+    :class:`BoundReport`."""
+    factor = _loss_factor(eps)
+    two = _report(
+        "gram_defect_two",
+        gram_two,
+        factor,
+        eps,
+        "spectral orthogonality loss of a sketch-orthonormal matrix",
+    )
+    fro = _report(
+        "gram_defect_fro",
+        gram_fro,
+        np.sqrt(n) * factor,
+        eps,
+        "Frobenius orthogonality loss of a sketch-orthonormal matrix",
+    )
+    return two, fro
+
+
 def orthogonality_report(P, op, cert):
     """Evaluate the applicable orthogonality-defect bounds for P.
 
@@ -200,24 +206,7 @@ def orthogonality_report(P, op, cert):
     reports = []
     if is_s_orthonormal:
         factor = _loss_factor(eps)
-        reports.append(
-            _report(
-                "gram_defect_two",
-                gram_two,
-                factor,
-                eps,
-                "spectral orthogonality loss of a sketch-orthonormal matrix",
-            )
-        )
-        reports.append(
-            _report(
-                "gram_defect_fro",
-                gram_fro,
-                np.sqrt(n) * factor,
-                eps,
-                "Frobenius orthogonality loss of a sketch-orthonormal matrix",
-            )
-        )
+        reports.extend(loss_bounds(gram_two, gram_fro, n, eps))
         Q_P = polar_factors(P).P
         dist = spectral_norm(P - Q_P)
         reports.append(
@@ -293,17 +282,17 @@ def nearest_sandwich_report(A, op, rtol=None, cert=None):
     T, and checks ``|A - T| - eps/(1-eps) <= |A - P| <=
     (1+eps)/(1-eps) |A - T| + eps/(1-eps)`` at ``eps = epsilon_emp``.
 
-    When ``cert`` is omitted the distortion is measured over the joint
-    column space of A, T, and ``T - Q_T`` (for full-column-rank A this
-    equals Range(A), but the union keeps the check honest about every
-    subspace the inequality's derivation touches).
+    When ``cert`` is omitted the distortion is measured over Range(T).
+    The sketch-orthogonal minimizer exists only for full-column-rank A,
+    and then T is an orthonormal basis of Range(A), which also holds
+    ``A - T`` and ``T - Q_T`` (``Q_T`` the sketch-orthogonal polar factor
+    of T): every subspace the inequality's derivation touches.
     """
     A = as_matrix(A)
     P = nearest_sts_orthogonal(A, op, rtol=rtol).P
     T = nearest_orthogonal(A).P
-    Q_T = sts_polar_of_orthonormal(T, op).P
     if cert is None:
-        cert = empirical_epsilon(op, range_basis(A, T, T - Q_T))
+        cert = empirical_epsilon(op, T)
     eps = cert.epsilon_emp
 
     Ad = to_dense(A)
@@ -319,31 +308,3 @@ def nearest_sandwich_report(A, op, rtol=None, cert=None):
         lower=lower,
         upper=upper,
     )
-
-
-_REPORT_FIELDS = ("bound_id", "lhs", "rhs", "epsilon", "pass", "matrix_id", "s", "seed")
-
-
-def _report_row(rep, matrix_id, s, seed):
-    return {
-        "bound_id": rep.bound_id,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "epsilon": rep.epsilon,
-        "pass": rep.passed,
-        "matrix_id": matrix_id,
-        "s": s,
-        "seed": seed,
-    }
-
-
-def bound_reports_to_csv(reports, path_or_file, matrix_id="", s="", seed=""):
-    """Write reports as CSV with the documented column set, in the format of
-    :func:`sketchsvd.matio.write_csv` (``true``/``false``, LF line ends)."""
-    rows = [_report_row(rep, matrix_id, s, seed) for rep in reports]
-    write_csv(path_or_file, _REPORT_FIELDS, rows)
-
-
-def bound_reports_to_jsonl(reports, path_or_file, matrix_id="", s="", seed=""):
-    """Write reports as JSON lines mirroring the CSV columns."""
-    write_jsonl(path_or_file, [_report_row(rep, matrix_id, s, seed) for rep in reports])

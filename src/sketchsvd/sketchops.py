@@ -132,7 +132,8 @@ def _distinct_rows(rng, n_cols, n_rows, zeta):
 
 def dct2_matrix(m):
     """Dense orthonormal type-II DCT matrix; the O(m^2) reference
-    transform that the fast path is tested against."""
+    transform behind :meth:`SketchOperator.materialize`, which the fast
+    path is tested against."""
     i = np.arange(m)
     F = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(i, 2 * i + 1) / (2.0 * m))
     F[0] *= np.sqrt(0.5)
@@ -145,7 +146,8 @@ class SketchOperator:
     Build through :func:`build_sketch`.  The operator keeps only its
     kind-specific factors (dense table, sign/sample vectors, or sparse
     matrix); :meth:`apply` computes ``S @ X`` with the fast path for the
-    kind, and :meth:`apply_reference` through an explicit dense route.
+    kind, and :meth:`materialize` returns the dense ``(s, m)`` matrix (for
+    srtt, built from the explicit cosine matrix of :func:`dct2_matrix`).
     """
 
     def __init__(self, kind, s, m, seed):
@@ -178,12 +180,6 @@ class SketchOperator:
     def __repr__(self):
         return f"SketchOperator(kind={self.kind!r}, s={self.s}, m={self.m}, seed={self.seed})"
 
-    def _check_rows(self, X):
-        if X.shape[0] != self.m:
-            raise ShapeError(
-                f"operator expects {self.m} rows, input has {X.shape[0]}"
-            )
-
     def apply(self, X):
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
@@ -195,7 +191,10 @@ class SketchOperator:
             X = np.asarray(X, dtype=np.float64)[:, None]
         else:
             X = as_matrix(X)
-        self._check_rows(X)
+        if X.shape[0] != self.m:
+            raise ShapeError(
+                f"operator expects {self.m} rows, input has {X.shape[0]}"
+            )
         if self.kind == "gaussian":
             if sp.issparse(X):
                 out = self._apply_gaussian_sparse(X)
@@ -229,17 +228,6 @@ class SketchOperator:
         Y = X * self._signs[:, None]
         Z = scipy.fft.dct(Y, type=2, axis=0, norm="ortho")
         return self._scale * Z[self._rows]
-
-    def apply_reference(self, X):
-        """Slow dense route for testing: materialized operator times X
-        (for srtt, the O(m^2) explicit cosine matrix)."""
-        vector = not sp.issparse(X) and np.ndim(X) == 1
-        X = np.asarray(X, dtype=np.float64)[:, None] if vector else as_matrix(X)
-        self._check_rows(X)
-        if sp.issparse(X):
-            X = X.toarray()
-        out = self.materialize() @ X
-        return out[:, 0] if vector else out
 
     def materialize(self):
         """Dense (s, m) matrix of the operator; intended for small m."""

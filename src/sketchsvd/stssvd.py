@@ -10,8 +10,9 @@ values sandwich the ordinary singular values:
 distortion ``eps`` valid over ``Range(A)`` (deterministically so for the
 measured ``epsilon_emp``).
 
-Two routes are provided.  The direct route sketches once, takes a thin QR
-of ``S A`` and a Jacobi SVD of the small triangular factor, then recovers
+Two routes are provided.  The direct route sketches once, takes the SVD of
+``S A`` by LAPACK ``dgejsv`` (whose own pivoted QR preconditions the
+Jacobi sweeps, so no QR runs in front of it), then recovers
 ``W = A @ V_r @ diag(theta_r)^-1``; A is touched once for the sketch and
 once for the back-product, and sparse input is never densified.  The QR
 route orthonormalizes the columns of A against the sketched inner product
@@ -28,7 +29,6 @@ from .densekernels import (
     as_matrix,
     check_finite,
     fro_norm,
-    householder_qr,
     jacobi_svd,
     numerical_rank,
     spectral_norm,
@@ -81,14 +81,7 @@ def sts_singular_values(A, op):
         raise ShapeError(f"operator acts on {op.m} rows, A has {A.shape[0]}")
     SA = op.apply(A)
     check_finite(SA, "sketched matrix")
-    n = A.shape[1]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if op.s >= n:
-        _, R = householder_qr(SA)
-        f = jacobi_svd(R)
-    else:
-        f = jacobi_svd(SA)
+    f = jacobi_svd(SA)
     return f.sigma, f.V
 
 

@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -8,10 +5,9 @@ from sketchsvd import (
     NumericalError,
     PreconditionError,
     RankDeficiencyError,
-    bound_reports_to_csv,
-    bound_reports_to_jsonl,
     build_sketch,
     empirical_epsilon,
+    gen_sparse_conditioned,
     nearest_orthogonal,
     nearest_sandwich_report,
     nearest_sts_orthogonal,
@@ -24,6 +20,8 @@ from sketchsvd import (
     sts_polar_of_orthonormal,
     sts_svd,
 )
+from sketchsvd.nearest import loss_bounds
+from sketchsvd.sketchops import KINDS
 
 
 def rand_orthonormal(rng, m, n):
@@ -272,6 +270,48 @@ class TestNearestSandwich:
         assert result.lower.rhs == pytest.approx(result.dist_sketched)
 
 
+    @pytest.mark.parametrize("kappa", [1.0, 1e10])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_certificate_covers_every_derivation_subspace(
+        self, kind, sparse, kappa
+    ):
+        # The default certificate is measured over Range(T); it must equal
+        # the one over the union of every subspace the sandwich's
+        # derivation touches (A, T, and T - Q_T).
+        m, n = 200, 8
+        rng = np.random.default_rng(7)
+        if sparse:
+            A = gen_sparse_conditioned(m, n, 0.2, kappa, seed=7)
+        else:
+            sigma = np.logspace(0, -np.log10(kappa), n)
+            A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
+        op = build_sketch(kind, 6 * n, m, seed=8)
+        T = nearest_orthogonal(A).P
+        Q_T = sts_polar_of_orthonormal(T, op).P
+        union = empirical_epsilon(op, range_basis(A, T, T - Q_T))
+        assert union.subspace_dim == n
+        result = nearest_sandwich_report(A, op)
+        assert result.epsilon_emp == pytest.approx(union.epsilon_emp, abs=1e-12)
+
+
+class TestLossBounds:
+    def test_rhs_and_pass_slack(self):
+        eps = 1.0 / 3.0  # eps / (1 - eps) = 0.5
+        two, fro = loss_bounds(0.5 + 5e-11, 1.0 + 5e-11, 4, eps)
+        assert (two.bound_id, fro.bound_id) == ("gram_defect_two", "gram_defect_fro")
+        assert two.rhs == pytest.approx(0.5, rel=1e-15)
+        assert fro.rhs == pytest.approx(1.0, rel=1e-15)
+        assert two.passed and fro.passed
+        two, fro = loss_bounds(0.5 + 1e-9, 0.0, 4, eps)
+        assert not two.passed and fro.passed
+
+    def test_unbounded_at_unit_distortion(self):
+        two, fro = loss_bounds(1e6, 1e6, 4, 1.0)
+        assert two.rhs == np.inf and fro.rhs == np.inf
+        assert two.passed and fro.passed
+
+
 class TestReportSerialization:
     def _reports(self):
         rng = np.random.default_rng(5)
@@ -280,26 +320,6 @@ class TestReportSerialization:
         P = nearest_sts_orthogonal(A, op).P
         cert = empirical_epsilon(op, range_basis(P))
         return orthogonality_report(P, op, cert)
-
-    def test_csv_round_trip(self, tmp_path):
-        reports = self._reports()
-        path = tmp_path / "bounds.csv"
-        bound_reports_to_csv(reports, path, matrix_id="demo", s=32, seed=6)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bound_id,lhs,rhs,epsilon,pass,matrix_id,s,seed"
-        assert len(lines) == len(reports) + 1
-        assert all(",demo,32,6" in line for line in lines[1:])
-
-    def test_jsonl(self):
-        reports = self._reports()
-        buf = io.StringIO()
-        bound_reports_to_jsonl(reports, buf, matrix_id="demo", s=32, seed=6)
-        rows = [json.loads(line) for line in buf.getvalue().strip().splitlines()]
-        assert len(rows) == len(reports)
-        assert set(rows[0]) == {
-            "bound_id", "lhs", "rhs", "epsilon", "pass", "matrix_id", "s", "seed"
-        }
-        assert all(isinstance(r["pass"], bool) for r in rows)
 
     def test_pass_flag_invariant(self):
         for rep in self._reports():

@@ -19,11 +19,13 @@ from sketchsvd import (
     s_fro_norm,
     s_two_norm,
     sketched_qr,
+    sts_singular_values,
     sts_svd,
     sts_svd_via_qr,
     truncate,
 )
 from sketchsvd.densekernels import SvdFactors
+from sketchsvd.sketchops import KINDS
 
 
 def rand_orthonormal(rng, m, n):
@@ -408,3 +410,36 @@ class TestCompareSpectra:
         cert = empirical_epsilon(op, range_basis(A))
         with pytest.raises(ShapeError):
             compare_spectra(f, short, cert)
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_columns(self, kind, sparse):
+        A = sp.csr_matrix((20, 0)) if sparse else np.zeros((20, 0))
+        op = build_sketch(kind, 6, 20, seed=1)
+        theta, V = sts_singular_values(A, op)
+        assert theta.shape == (0,) and V.shape == (0, 0)
+        f = sts_svd(A, op)
+        assert f.r == 0
+        assert f.W.shape == (20, 0) and f.theta.shape == (0,) and f.V.shape == (0, 0)
+
+    @pytest.mark.parametrize("kind,seed", [(k, i) for i, k in enumerate(KINDS)])
+    def test_tall_graded_relative_accuracy(self, kind, seed):
+        # Oracle: 50-digit SVD of the sketched matrix itself.  Its columns
+        # are graded over 12 decades in random order, so each theta must
+        # come out with high relative accuracy, not just accuracy relative
+        # to theta_1 (an unpivoted bidiagonalization misses by ~1e-5 here).
+        mpmath = pytest.importorskip("mpmath")
+        m, n = 300, 20
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, n)) * rng.permutation(np.logspace(0, -12, n))
+        op = build_sketch(kind, 3 * n, m, seed=seed + 10)
+        SA = op.apply(A)
+        with mpmath.workdps(50):
+            exact = np.array(sorted(
+                (float(v) for v in
+                 mpmath.svd_r(mpmath.matrix(SA.tolist()), compute_uv=False)),
+                reverse=True))
+        theta, _ = sts_singular_values(A, op)
+        assert np.max(np.abs(theta - exact) / exact) <= 2e-15
