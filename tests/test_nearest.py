@@ -12,6 +12,7 @@ from sketchsvd import (
     nearest_sandwich_report,
     nearest_sts_orthogonal,
     orthogonality_report,
+    polar_factors,
     range_basis,
     s_fro_norm,
     s_two_norm,
@@ -230,6 +231,26 @@ class TestOrthogonalityReport:
             assert "sketched_gram_defect_two" in ids
             failed = [r for r in reports if not r.passed]
             assert not failed, failed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+    def test_distance_matches_polar_factor(self, kappa, kind):
+        # the singular values of P give both sides; compare with the
+        # explicit polar factor and Gram-matrix norms
+        m, n = 300, 12
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        A = rng.standard_normal((m, n)) * np.logspace(0, -np.log10(kappa), n)
+        op = build_sketch(kind, 4 * n, m, seed=2)
+        P, _ = sketched_qr(A, op)
+        cert = empirical_epsilon(op, range_basis(P))
+        got = {r.bound_id: r for r in orthogonality_report(P, op, cert)}
+        dist = spectral_norm(P - polar_factors(P).P)
+        gram_two = np.linalg.norm(P.T @ P - np.eye(n), 2)
+        upper = got["dist_to_orthonormal_upper"]
+        lower = got["dist_to_orthonormal_lower"]
+        assert abs(upper.lhs - dist) <= 1e-14
+        assert abs(lower.rhs - dist) <= 1e-14
+        assert abs(lower.lhs - gram_two / (spectral_norm(P) + 1.0)) <= 1e-14
 
     def test_unclassifiable_rejected(self):
         rng = np.random.default_rng(3)

@@ -188,6 +188,55 @@ class TestSketchedQR:
         assert np.linalg.norm(A.toarray() - Q @ R) <= 1e-10 * np.linalg.norm(A.toarray())
 
 
+class TestSketchedQRTwoPass:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e12])
+    def test_stability(self, kappa, kind, sparse):
+        m, n = 600, 20
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        sigma = np.logspace(0, -np.log10(kappa), n)
+        A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
+        op = build_sketch(kind, 3 * n, m, seed=7)
+        Q, R = sketched_qr(sp.csr_matrix(A) if sparse else A, op)
+        SQ = op.apply(Q)
+        assert np.linalg.norm(SQ.T @ SQ - np.eye(n), 2) <= 1e-12
+        assert np.linalg.norm(A - Q @ R) <= 1e-13 * np.linalg.norm(A)
+        assert (np.diag(R) > 0).all()
+        assert np.array_equal(R, np.triu(R))
+
+    def test_two_block_applies(self):
+        class CountingOperator:
+            def __init__(self, op):
+                self.op, self.m, self.s, self.calls = op, op.m, op.s, 0
+
+            def apply(self, X):
+                self.calls += 1
+                return self.op.apply(X)
+
+        m, n = 2000, 50
+        A = np.random.default_rng(1).standard_normal((m, n))
+        op = CountingOperator(build_sketch("gaussian", 4 * n, m, seed=2))
+        sketched_qr(A, op)
+        assert op.calls == 2
+
+    def test_first_dependent_column_named(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((60, 6))
+        A[:, 3] = A[:, 0] - 2.0 * A[:, 2]
+        A[:, 5] = 3.0 * A[:, 1] + A[:, 4]
+        op = build_sketch("sparse-sign", 30, 60, seed=5)
+        with pytest.raises(RankDeficiencyError) as err:
+            sketched_qr(A, op)
+        assert err.value.column == 3
+
+    def test_input_not_overwritten(self):
+        A = np.asfortranarray(np.random.default_rng(6).standard_normal((40, 4)))
+        before = A.copy()
+        sketched_qr(A, build_sketch("srtt", 16, 40, seed=7))
+        assert np.array_equal(A, before)
+
+
 class TestViaQrRoute:
     def test_orthogonal_input_full_sample(self):
         m, n = 20, 6
