@@ -20,7 +20,7 @@ _EPS = np.finfo(np.float64).eps
 def as_matrix(X):
     """Normalize ``X`` to a 2-d float64 ndarray or CSR matrix."""
     if sp.issparse(X):
-        return X.tocsr()
+        return X.tocsr().astype(np.float64, copy=False)
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={A.ndim}")

@@ -207,8 +207,8 @@ def orthogonality_report(P, op, cert):
     if is_s_orthonormal:
         factor = _loss_factor(eps)
         reports.extend(loss_bounds(gram_two, gram_fro, n, eps))
-        # P - Q_P has singular values |sigma_i(P) - 1| (Q_P the polar factor)
-        sigma = np.linalg.svd(P, compute_uv=False)
+        # |P - polar factor|_2 = max|sigma_i(P) - 1|, sigma^2 = 1 + eig(gram)
+        sigma = np.sqrt(1.0 + np.linalg.eigvalsh(gram))
         dist = np.abs(sigma - 1.0).max(initial=0.0)
         reports.append(
             _report(

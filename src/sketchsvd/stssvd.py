@@ -36,7 +36,7 @@ from .densekernels import (
     numerical_rank,
     spectral_norm,
 )
-from .errors import RankDeficiencyError, ShapeError, SketchRankWarning
+from .errors import NumericalError, RankDeficiencyError, ShapeError, SketchRankWarning
 
 _EPS = np.finfo(np.float64).eps
 
@@ -134,12 +134,12 @@ def sketched_qr(A, op, rtol=1e-12):
     ``R1`` is the R factor of ``S A``, ``Q1 = A R1^-1``, ``R2`` is the R
     factor of ``S Q1``, and ``Q = Q1 R2^-1``, ``R = R2 R1``.  The operator
     is applied twice, each time to a block of n columns, and both
-    triangular solves overwrite one m x n array in place.  The second pass
-    restores sketch orthonormality lost to rounding in the first, as the
-    column-by-column randomized Gram-Schmidt's reorthogonalization does
-    (Balabanov & Grigori, arXiv:2111.14641), for ``cond(A)`` up to about
-    ``1/eps_machine``.  Returns ``(Q, R)`` with ``(SQ)^T (SQ) = I`` (to
-    roundoff), ``A = Q R`` and ``diag(R) > 0``.
+    triangular solves overwrite one m x n float64 array in place.  The
+    second pass restores the sketch orthonormality lost to rounding in the
+    first, as reorthogonalization does in column-by-column randomized
+    Gram-Schmidt (Balabanov & Grigori, arXiv:2111.14641).  Returns
+    ``(Q, R)`` with ``(SQ)^T (SQ) = I`` (to roundoff), ``A = Q R`` and
+    ``diag(R) > 0``.
 
     Raises
     ------
@@ -147,6 +147,10 @@ def sketched_qr(A, op, rtol=1e-12):
         When ``R1[j, j]``, the sketch norm of column j's residual against
         the previous columns, falls at or below ``rtol * |a_j|``; the
         exception names the first such column.
+    NumericalError
+        When ``cond(R2) = cond(S Q1)`` is not below ``eps^-1/2``, past which
+        the second solve's sketch Gram defect, about ``n eps cond(R2)``, is
+        too large to call Q sketch-orthonormal.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -167,9 +171,12 @@ def sketched_qr(A, op, rtol=1e-12):
             f"(sketched residual norm {resid[j]:.3e})",
             column=j,
         )
-    dtrsm(1.0, R1, Q, side=1, overwrite_b=1)
+    Q = dtrsm(1.0, R1, Q, side=1, overwrite_b=1)
     _, R2 = householder_qr(op.apply(Q))
-    dtrsm(1.0, R2, Q, side=1, overwrite_b=1)
+    cond = np.linalg.cond(R2)
+    if not cond < _EPS**-0.5:
+        raise NumericalError(f"S Q1 has condition number {cond:.3e} after one pass")
+    Q = dtrsm(1.0, R2, Q, side=1, overwrite_b=1)
     return Q, R2 @ R1
 
 
@@ -189,14 +196,8 @@ def sts_svd_via_qr(A, op, rtol=None):
     Q, R = sketched_qr(A, op)
     f = jacobi_svd(R)
     r = numerical_rank(f.sigma, rtol)
-    W = Q @ f.U[:, :r]
-    return StsSvdFactors(
-        W=W,
-        theta=f.sigma[:r].copy(),
-        V=np.ascontiguousarray(f.V[:, :r]),
-        r=r,
-        op=op,
-    )
+    V = np.ascontiguousarray(f.V[:, :r])
+    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V, r=r, op=op)
 
 
 def truncate(f, k):

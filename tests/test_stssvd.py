@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sketchsvd import (
     CauchySpec,
+    NumericalError,
     RankDeficiencyError,
     ShapeError,
     SketchRankWarning,
@@ -204,6 +205,56 @@ class TestSketchedQRTwoPass:
         assert np.linalg.norm(A - Q @ R) <= 1e-13 * np.linalg.norm(A)
         assert (np.diag(R) > 0).all()
         assert np.array_equal(R, np.triu(R))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kahan_factor(self, kind):
+        # U K with K a 100 x 100 Kahan matrix: every R1[j, j] / |a_j| is at
+        # least 1e-3, so the rank test passes, yet cond(A) is about 9e16
+        m, n = 2000, 100
+        sn = 1e-3 ** (1 / (n - 1))
+        K = np.diag(sn ** np.arange(n)) @ (
+            np.eye(n) - np.sqrt(1 - sn**2) * np.triu(np.ones((n, n)), 1)
+        )
+        A = rand_orthonormal(np.random.default_rng(0), m, n) @ K
+        assert np.linalg.cond(A) > 1e16
+        op = build_sketch(kind, 4 * n, m, seed=3)
+        Q, R = sketched_qr(A, op)
+        SQ = op.apply(Q)
+        assert np.linalg.norm(SQ.T @ SQ - np.eye(n), 2) <= 1e-12
+        assert np.linalg.norm(A - Q @ R) <= 1e-13 * np.linalg.norm(A)
+        assert (np.diag(R) > 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.bool_])
+    def test_sparse_input_any_dtype(self, dtype):
+        rng = np.random.default_rng(10)
+        A = sp.random_array((80, 6), density=0.5, rng=rng, dtype=np.float64)
+        A = sp.csr_matrix((10 * A).astype(dtype))
+        op = build_sketch("gaussian", 30, 80, seed=11)
+        Q, R = sketched_qr(A, op)
+        assert Q.dtype == np.float64
+        Ad = A.toarray().astype(np.float64)
+        assert np.linalg.norm(Ad - Q @ R) <= 1e-13 * np.linalg.norm(Ad)
+        SQ = op.apply(Q)
+        assert np.linalg.norm(SQ.T @ SQ - np.eye(6), 2) <= 1e-12
+
+    def test_ill_conditioned_second_sketch_raises(self):
+        # the second sketch shrinks one column by 1e-9, as no linear S can
+        # (S Q1 is then far from orthonormal): Q must not be returned
+        class DriftingOperator:
+            def __init__(self, op):
+                self.op, self.m, self.s, self.calls = op, op.m, op.s, 0
+
+            def apply(self, X):
+                self.calls += 1
+                out = self.op.apply(X)
+                if self.calls == 2:
+                    out[:, -1] *= 1e-9
+                return out
+
+        A = np.random.default_rng(12).standard_normal((200, 8))
+        op = DriftingOperator(build_sketch("srtt", 32, 200, seed=13))
+        with pytest.raises(NumericalError):
+            sketched_qr(A, op)
 
     def test_two_block_applies(self):
         class CountingOperator:
