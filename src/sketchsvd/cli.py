@@ -33,8 +33,8 @@ Conventions
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
   ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about
-  2 minutes and 0.4 GB peak memory (one 2000 x 20000 gaussian table at a
-  time), dominated by building the gaussian operator.  Full-scale presets
+  90 s and 0.4 GB peak memory (one 2000 x 20000 gaussian table at a
+  time), dominated by building the gaussian operators.  Full-scale presets
   are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4

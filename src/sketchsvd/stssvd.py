@@ -40,6 +40,9 @@ from .errors import NumericalError, RankDeficiencyError, ShapeError, SketchRankW
 
 _EPS = np.finfo(np.float64).eps
 
+# sketched_qr's default column threshold
+_QR_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StsSvdFactors:
@@ -126,7 +129,7 @@ def sts_svd(A, op, rtol=None):
     return StsSvdFactors(W=W, theta=theta, V=V, r=r, op=op)
 
 
-def sketched_qr(A, op, rtol=1e-12):
+def sketched_qr(A, op, rtol=_QR_RTOL):
     """QR factorization orthonormal in the sketch inner product.
 
     Two-pass sketch-preconditioned QR, the randomized Cholesky QR of
@@ -187,13 +190,17 @@ def sts_svd_via_qr(A, op, rtol=None):
     It densifies A and applies the operator twice, so it costs about twice
     the direct route: 0.095 s against 0.043 s on dense 10000x50 with a
     gaussian ``s = 800``, BLAS on one thread.  Requires A of full column
-    rank (rank deficiency raises from :func:`sketched_qr`).
+    rank (rank deficiency raises from :func:`sketched_qr`).  An explicit
+    ``rtol`` below :func:`sketched_qr`'s default of 1e-12 is also its column
+    threshold, so a small enough ``rtol`` lets a nearly dependent column
+    through; a larger one leaves the QR at its default and only truncates,
+    as in :func:`sts_svd`.
     """
     A = as_matrix(A)
     n = A.shape[1]
+    Q, R = sketched_qr(A, op, _QR_RTOL if rtol is None else min(rtol, _QR_RTOL))
     if rtol is None:
         rtol = _default_rtol(op.s, n)
-    Q, R = sketched_qr(A, op)
     f = jacobi_svd(R)
     r = numerical_rank(f.sigma, rtol)
     V = np.ascontiguousarray(f.V[:, :r])

@@ -9,9 +9,14 @@ key or comment key), so that a different BLAS does not fail the test; a
 column of roundoff (the distance of an orthonormal input to its polar
 factor) is matched within 1e-13.
 
-After an intended change of output, regenerate the files with
+After an intended change of output, regenerate the files of the cases it
+changed with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]
+
+and review the diff; with no case named, every file is rewritten, and the
+ones whose output did not change come back with roundoff-level churn in
+their floats.
 """
 
 import contextlib
@@ -209,12 +214,14 @@ def test_matching_tolerates_float_noise_only():
             _assert_matches(want.replace(old, new), want)
 
 
-def write_goldens(directory=GOLDEN):
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in CASES:
+def write_goldens(names):
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {', '.join(unknown)}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            (directory / f"{name}.txt").write_text(run_case(name, pathlib.Path(tmp)))
+            (GOLDEN / f"{name}.txt").write_text(run_case(name, pathlib.Path(tmp)))
 
 
 if __name__ == "__main__":
-    write_goldens(pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    write_goldens(sys.argv[1:] or list(CASES))

@@ -17,7 +17,10 @@ from sketchsvd import (
     sketch_dim,
     sketched_qr,
 )
-from sketchsvd.sketchops import _GAUSSIAN_ROWS, KINDS, dct2_matrix
+from sketchsvd import sketchops
+from sketchsvd.sketchops import (
+    _GAUSSIAN_ROWS, _PARALLEL_MIN_ENTRIES, KINDS, dct2_matrix
+)
 
 
 class TestSketchDim:
@@ -93,13 +96,27 @@ class TestBuildSketch:
         se = np.sqrt(2.0 / s**2 / (n_builds * s * m))
         assert abs(grand - 1.0 / s) <= 3 * se
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, _GAUSSIAN_ROWS + 1])
-    def test_gaussian_table_is_one_draw(self, extra):
-        # the whole table comes from one standard_normal call on the seed
-        s, m, seed = _GAUSSIAN_ROWS + extra, 150, 17
-        expected = np.random.default_rng(seed).standard_normal((s, m)) / math.sqrt(s)
+    @pytest.mark.parametrize("s", [1, 7, 31, 33, 65])
+    def test_gaussian_table_is_eight_seeded_blocks(self, s):
+        # row block i of the table is drawn from child i of SeedSequence(seed)
+        m, seed = 150, 17
+        bounds = np.linspace(0, s, 9).astype(int)
+        children = np.random.SeedSequence(seed).spawn(8)
+        expected = np.vstack([
+            np.random.default_rng(child).standard_normal((b1 - b0, m))
+            for child, b0, b1 in zip(children, bounds, bounds[1:])
+        ]) / math.sqrt(s)
         op = build_sketch("gaussian", s, m, seed)
         assert np.array_equal(op.materialize(), expected)
+
+    def test_gaussian_table_independent_of_thread_count(self, monkeypatch):
+        # large enough for the thread pool; 1 worker fills it in a plain loop
+        s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
+        tables = []
+        for cores in (1, 4):
+            monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+            tables.append(build_sketch("gaussian", s, m, seed=5).materialize())
+        assert np.array_equal(tables[0], tables[1])
 
     def test_sparse_sign_column_structure(self):
         op = build_sketch("sparse-sign", 16, 100, seed=1)

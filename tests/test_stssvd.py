@@ -322,6 +322,32 @@ class TestViaQrRoute:
         with pytest.raises(RankDeficiencyError):
             sts_svd_via_qr(A, op)
 
+    def test_explicit_rtol_reaches_sketched_qr(self):
+        # condition 1e14: column 48 fails sketched_qr's default threshold,
+        # but a caller's rtol=1e-20 lets the factorization through
+        m, n = 2000, 50
+        rng = np.random.default_rng(0)
+        A = (rand_orthonormal(rng, m, n) * np.logspace(0, -14, n)) @ (
+            rand_orthonormal(rng, n, n).T)
+        op = build_sketch("gaussian", 800, m, seed=0)
+        with pytest.raises(RankDeficiencyError):
+            sts_svd_via_qr(A, op)
+        f = sts_svd_via_qr(A, op, rtol=1e-20)
+        SW = op.apply(f.W)
+        assert np.linalg.norm(SW.T @ SW - np.eye(f.r), 2) <= 1e-12
+        assert f.r == sts_svd(A, op, rtol=1e-20).r == n
+
+    def test_coarse_rtol_truncates(self):
+        # a truncation threshold above sketched_qr's 1e-12 must truncate
+        # like sts_svd, not turn into sketched_qr's column test and raise
+        m, n = 2000, 50
+        rng = np.random.default_rng(0)
+        A = (rand_orthonormal(rng, m, n) * np.logspace(0, -6, n)) @ (
+            rand_orthonormal(rng, n, n).T)
+        op = build_sketch("gaussian", 800, m, seed=0)
+        f = sts_svd_via_qr(A, op, rtol=1e-3)
+        assert f.r == sts_svd(A, op, rtol=1e-3).r < n
+
 
 class TestTruncate:
     @pytest.fixture
