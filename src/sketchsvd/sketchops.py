@@ -17,12 +17,19 @@ All randomness is drawn at construction time from ``numpy``'s PCG64
 generator, so equal ``(kind, s, m, seed)`` tuples reproduce
 bitwise-identical operators.  The srtt and sparse-sign factors come from one
 generator seeded with the operator's 64-bit ``seed``.  A gaussian table is
-cut into 8 fixed row blocks, and block ``i`` is drawn from the generator
-seeded with child ``i`` of ``numpy.random.SeedSequence(seed).spawn(8)``;
+cut into 8 fixed row blocks, and block ``i`` is drawn in float64 from the
+generator seeded with child ``i`` of ``numpy.random.SeedSequence(seed)``;
 large tables fill their blocks on parallel threads, and since the block
 count is a constant, the table does not depend on how many threads or
-cores there are.  Operators are immutable after construction and safe to
-share across threads.
+cores there are.  The gaussian operator stores its scaled draws rounded to
+float32, half the memory of float64, and applies them in float64: on the
+same blocks and threads, rows are cast back to float64 before they
+multiply the input.  Rounding changes the matrix, not the arithmetic, and
+every certificate here (``empirical_epsilon`` and the bounds evaluated at
+it) measures the stored operator, so it is exact for the table as stored;
+:meth:`SketchOperator.materialize` returns that table in float64.
+Operators are immutable after construction and safe to share across
+threads.
 """
 
 import math
@@ -46,9 +53,9 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 # in bounded batches).
 _SRTT_BLOCK = 64
 
-# Row block size used when a gaussian operator is applied to sparse input:
-# scipy copies the dense operand of a sparse product into C order, so each
-# product sees only this many rows of the (s, m) table.
+# A gaussian table is drawn in float64 in chunks of this many rows, and
+# cast back to float64 in such chunks when it is applied to sparse input,
+# so that the float64 copy held at any time is this many rows per thread.
 _GAUSSIAN_ROWS = 32
 
 # A gaussian table is drawn as this many row blocks, each from its own
@@ -56,10 +63,10 @@ _GAUSSIAN_ROWS = 32
 # can be filled on parallel threads.  Changing it changes every table.
 _GAUSSIAN_STREAMS = 8
 
-# Tables with fewer entries are filled on the calling thread.  Starting a
-# thread pool costs about 1 ms; measured on 2 cores, the pool fills 2**18
-# entries in 5.0 ms against 4.8 ms on one thread, and 2**19 entries in
-# 8.4 ms against 9.1 ms.
+# Tables with fewer entries are filled and applied on the calling thread.
+# Starting a thread pool costs about 1 ms; measured on 2 cores, the pool
+# fills 2**18 entries in 5.0 ms against 4.8 ms on one thread, and 2**19
+# entries in 8.4 ms against 9.1 ms.
 _PARALLEL_MIN_ENTRIES = 1 << 19
 
 
@@ -149,29 +156,50 @@ def _distinct_rows(rng, n_cols, n_rows, zeta):
         R[bad] = rng.integers(0, n_rows, size=(int(bad.sum()), zeta))
 
 
+def _on_streams(fn, s, m):
+    """Call ``fn(i, r0, r1)`` for each nonempty row block ``[r0, r1)`` of the
+    ``_GAUSSIAN_STREAMS`` blocks of an (s, m) table; tables of at least
+    ``_PARALLEL_MIN_ENTRIES`` entries run the blocks on a thread pool of up to
+    ``min(_GAUSSIAN_STREAMS, os.cpu_count())`` threads.  Each block is
+    computed the same way on any thread, so the result does not depend on
+    the thread or core count."""
+    # the same boundaries as np.linspace(0, s, 9).astype(int), in integers
+    bounds = [s * i // _GAUSSIAN_STREAMS for i in range(_GAUSSIAN_STREAMS + 1)]
+    blocks = [(i, r0, r1) for i, (r0, r1) in enumerate(zip(bounds, bounds[1:]))
+              if r0 < r1]
+    workers = min(len(blocks), os.cpu_count() or 1)
+    if workers == 1 or s * m < _PARALLEL_MIN_ENTRIES:
+        for block in blocks:
+            fn(*block)
+    else:
+        # numpy's generators and casts, BLAS and scipy's sparse products
+        # release the GIL
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(fn, *block) for block in blocks]:
+                future.result()
+
+
 def _gaussian_table(s, m, seed):
-    """(s, m) table of i.i.d. N(0, 1/s) entries, drawn as
-    ``_GAUSSIAN_STREAMS`` row blocks from the children of
-    ``SeedSequence(seed)``; bitwise the same for any thread count."""
-    table = np.empty((s, m))
-    bounds = np.linspace(0, s, _GAUSSIAN_STREAMS + 1).astype(int)
-    streams = np.random.SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)
+    """(s, m) float32 table of i.i.d. N(0, 1/s) float64 draws rounded to
+    float32, drawn as ``_GAUSSIAN_STREAMS`` row blocks: block ``i`` comes
+    from child ``i`` of ``SeedSequence(seed)``."""
+    table = np.empty((s, m), dtype=np.float32)
     scale = math.sqrt(s)
 
-    def fill(i):
-        block = table[bounds[i]:bounds[i + 1]]
-        np.random.default_rng(streams[i]).standard_normal(out=block)
-        np.divide(block, scale, out=block)
+    def fill(i, r0, r1):
+        # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        chunk = np.empty((min(_GAUSSIAN_ROWS, r1 - r0), m))
+        # consecutive draws from one generator continue one stream, so the
+        # chunks give the values of one (r1 - r0, m) draw
+        for c0 in range(r0, r1, _GAUSSIAN_ROWS):
+            c1 = min(c0 + _GAUSSIAN_ROWS, r1)
+            part = chunk[:c1 - c0]
+            rng.standard_normal(out=part)
+            np.divide(part, scale, out=part)
+            table[c0:c1] = part
 
-    workers = min(_GAUSSIAN_STREAMS, os.cpu_count() or 1)
-    if workers == 1 or table.size < _PARALLEL_MIN_ENTRIES:
-        for i in range(_GAUSSIAN_STREAMS):
-            fill(i)
-    else:
-        # numpy's generators release the GIL while they fill a block
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(fill, i) for i in range(_GAUSSIAN_STREAMS)]:
-                future.result()
+    _on_streams(fill, s, m)
     return table
 
 
@@ -191,8 +219,9 @@ class SketchOperator:
     Build through :func:`build_sketch`.  The operator keeps only its
     kind-specific factors (dense table, sign/sample vectors, or sparse
     matrix); :meth:`apply` computes ``S @ X`` with the fast path for the
-    kind, and :meth:`materialize` returns the dense ``(s, m)`` matrix (for
-    srtt, built from the explicit cosine matrix of :func:`dct2_matrix`).
+    kind, and :meth:`materialize` returns the dense float64 ``(s, m)``
+    matrix (for srtt, built from the explicit cosine matrix of
+    :func:`dct2_matrix`; for gaussian, the float32 table cast exactly).
     """
 
     def __init__(self, kind, s, m, seed):
@@ -229,9 +258,12 @@ class SketchOperator:
     def apply(self, X):
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
-        and sparse-sign kinds; for the gaussian kind it costs
-        O(``_GAUSSIAN_ROWS`` * m) memory beyond the output, one row block
-        of the table at a time."""
+        and sparse-sign kinds.  The gaussian kind casts its float32 table
+        back to float64 in row blocks, one per thread at a time: for
+        sparse input ``_GAUSSIAN_ROWS`` rows, O(``_GAUSSIAN_ROWS`` * m)
+        memory per thread beyond the output; for dense input one of the
+        ``_GAUSSIAN_STREAMS`` stream blocks, about s * m / 8 float64
+        entries per thread."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -242,10 +274,7 @@ class SketchOperator:
                 f"operator expects {self.m} rows, input has {X.shape[0]}"
             )
         if self.kind == "gaussian":
-            if sp.issparse(X):
-                out = self._apply_gaussian_sparse(X)
-            else:
-                out = self._dense @ X
+            out = self._apply_gaussian(X)
         elif self.kind == "sparse-sign":
             out = self._sparse @ X
             if sp.issparse(out):
@@ -254,12 +283,30 @@ class SketchOperator:
             out = self._apply_srtt(X)
         return out[:, 0] if vector else out
 
-    def _apply_gaussian_sparse(self, X):
+    def _apply_gaussian(self, X):
+        m = self.m
         out = np.empty((self.s, X.shape[1]))
-        Xt = X.T.tocsr()
-        for i0 in range(0, self.s, _GAUSSIAN_ROWS):
-            i1 = min(i0 + _GAUSSIAN_ROWS, self.s)
-            out[i0:i1] = (Xt @ self._dense[i0:i1].T).T
+        table = self._dense
+        if sp.issparse(X):
+            Xt = X.T.tocsr()
+
+            def block(i, r0, r1):
+                # one float64 buffer per stream block, reused by its row
+                # chunks: C-order (m, rows), which scipy uses without a copy
+                buf = np.empty(min(_GAUSSIAN_ROWS, r1 - r0) * m)
+                for c0 in range(r0, r1, _GAUSSIAN_ROWS):
+                    c1 = min(c0 + _GAUSSIAN_ROWS, r1)
+                    chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
+                    np.copyto(chunk, table[c0:c1].T)
+                    out[c0:c1] = (Xt @ chunk).T
+        else:
+
+            def block(i, r0, r1):
+                # one product per stream block: BLAS packs X once per call,
+                # so smaller row chunks would repack it for each chunk
+                np.matmul(table[r0:r1].astype(np.float64), X, out=out[r0:r1])
+
+        _on_streams(block, self.s, m)
         return out
 
     def _apply_srtt(self, X):
@@ -278,7 +325,7 @@ class SketchOperator:
     def materialize(self):
         """Dense (s, m) matrix of the operator; intended for small m."""
         if self.kind == "gaussian":
-            return self._dense.copy()
+            return self._dense.astype(np.float64)
         if self.kind == "sparse-sign":
             return self._sparse.toarray()
         F = dct2_matrix(self.m)

@@ -106,6 +106,8 @@ class TestBuildSketch:
             np.random.default_rng(child).standard_normal((b1 - b0, m))
             for child, b0, b1 in zip(children, bounds, bounds[1:])
         ]) / math.sqrt(s)
+        # the table stores the float64 draws rounded to float32
+        expected = expected.astype(np.float32).astype(np.float64)
         op = build_sketch("gaussian", s, m, seed)
         assert np.array_equal(op.materialize(), expected)
 
@@ -117,6 +119,35 @@ class TestBuildSketch:
             monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
             tables.append(build_sketch("gaussian", s, m, seed=5).materialize())
         assert np.array_equal(tables[0], tables[1])
+
+    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch):
+        s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
+        X = np.random.default_rng(27).standard_normal((m, 5))
+        Xs = sp.random_array((m, 6), density=0.01, rng=28, format="csr")
+        op = build_sketch("gaussian", s, m, seed=5)
+        dense, sparse = [], []
+        for cores in (1, 4):
+            monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+            dense.append(op.apply(X))
+            sparse.append(op.apply(Xs))
+        assert np.array_equal(dense[0], dense[1])
+        assert np.array_equal(sparse[0], sparse[1])
+        S = op.materialize()
+        np.testing.assert_allclose(dense[0], S @ X, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(sparse[0], (Xs.T @ S.T).T)
+
+    def test_gaussian_build_memory(self, monkeypatch):
+        # a float32 table and two threads' float64 draw chunks, well under
+        # the 8 bytes per entry of a float64 table
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        s = m = 1024
+        tracemalloc.start()
+        try:
+            build_sketch("gaussian", s, m, seed=29)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * s * m
 
     def test_sparse_sign_column_structure(self):
         op = build_sketch("sparse-sign", 16, 100, seed=1)
