@@ -33,7 +33,7 @@ Conventions
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
   ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` 40-90 s
-  (the machine's load varies) and 0.26 GB peak memory (one 2000 x 20000
+  (the machine's load varies) and 0.25 GB peak memory (one 2000 x 20000
   float32 gaussian table at a time), dominated by building the gaussian
   operators.  Full-scale presets are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that

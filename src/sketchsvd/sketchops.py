@@ -22,11 +22,13 @@ generator seeded with child ``i`` of ``numpy.random.SeedSequence(seed)``;
 large tables fill their blocks on parallel threads, and since the block
 count is a constant, the table does not depend on how many threads or
 cores there are.  The gaussian operator stores its scaled draws rounded to
-float32, half the memory of float64, and applies them in float64: on the
-same blocks and threads, rows are cast back to float64 before they
-multiply the input.  Rounding changes the matrix, not the arithmetic, and
-every certificate here (``empirical_epsilon`` and the bounds evaluated at
-it) measures the stored operator, so it is exact for the table as stored;
+float32, half the memory of float64, and applies them in float64: rows
+are cast back to float64 in bounded blocks before they multiply the input
+(sparse input on the draw's blocks and threads, dense input on the
+calling thread, whose BLAS threads its own products).  Rounding changes
+the matrix, not the arithmetic, and every certificate here
+(``empirical_epsilon`` and the bounds evaluated at it) measures the
+stored operator, so it is exact for the table as stored;
 :meth:`SketchOperator.materialize` returns that table in float64.
 Operators are immutable after construction and safe to share across
 threads.
@@ -53,9 +55,10 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 # in bounded batches).
 _SRTT_BLOCK = 64
 
-# A gaussian table is drawn in float64 in chunks of this many rows, and
-# cast back to float64 in such chunks when it is applied to sparse input,
-# so that the float64 copy held at any time is this many rows per thread.
+# Float64 rows held at once, shared among the threads, while a gaussian
+# table is drawn or applied to sparse input: each of w threads draws or
+# casts chunks of _GAUSSIAN_ROWS // w rows, so this memory does not grow
+# with the core count.
 _GAUSSIAN_ROWS = 32
 
 # A gaussian table is drawn as this many row blocks, each from its own
@@ -63,7 +66,8 @@ _GAUSSIAN_ROWS = 32
 # can be filled on parallel threads.  Changing it changes every table.
 _GAUSSIAN_STREAMS = 8
 
-# Tables with fewer entries are filled and applied on the calling thread.
+# Tables with fewer entries are filled, and applied to sparse input, on the
+# calling thread.
 # Starting a thread pool costs about 1 ms; measured on 2 cores, the pool
 # fills 2**18 entries in 5.0 ms against 4.8 ms on one thread, and 2**19
 # entries in 8.4 ms against 9.1 ms.
@@ -156,26 +160,36 @@ def _distinct_rows(rng, n_cols, n_rows, zeta):
         R[bad] = rng.integers(0, n_rows, size=(int(bad.sum()), zeta))
 
 
-def _on_streams(fn, s, m):
-    """Call ``fn(i, r0, r1)`` for each nonempty row block ``[r0, r1)`` of the
-    ``_GAUSSIAN_STREAMS`` blocks of an (s, m) table; tables of at least
-    ``_PARALLEL_MIN_ENTRIES`` entries run the blocks on a thread pool of up to
-    ``min(_GAUSSIAN_STREAMS, os.cpu_count())`` threads.  Each block is
-    computed the same way on any thread, so the result does not depend on
-    the thread or core count."""
+def _stream_blocks(s):
+    """``(i, r0, r1)`` for each nonempty row block of the
+    ``_GAUSSIAN_STREAMS`` blocks of a table with ``s`` rows."""
     # the same boundaries as np.linspace(0, s, 9).astype(int), in integers
     bounds = [s * i // _GAUSSIAN_STREAMS for i in range(_GAUSSIAN_STREAMS + 1)]
-    blocks = [(i, r0, r1) for i, (r0, r1) in enumerate(zip(bounds, bounds[1:]))
-              if r0 < r1]
+    return [(i, r0, r1) for i, (r0, r1) in enumerate(zip(bounds, bounds[1:]))
+            if r0 < r1]
+
+
+def _on_streams(fn, s, m):
+    """Call ``fn(i, r0, r1, rows)`` for each stream block ``[r0, r1)`` of an
+    (s, m) table; tables of at least ``_PARALLEL_MIN_ENTRIES`` entries run
+    the blocks on a thread pool of up to
+    ``min(_GAUSSIAN_STREAMS, os.cpu_count())`` threads.  ``rows`` is how
+    many float64 rows one call may hold at a time: ``_GAUSSIAN_ROWS``
+    shared among the threads, so that all of them together hold at most
+    ``_GAUSSIAN_ROWS * m`` float64 entries on any core count.  Each block
+    is computed the same way on any thread and in chunks of any height, so
+    the result does not depend on the thread or core count."""
+    blocks = _stream_blocks(s)
     workers = min(len(blocks), os.cpu_count() or 1)
     if workers == 1 or s * m < _PARALLEL_MIN_ENTRIES:
         for block in blocks:
-            fn(*block)
+            fn(*block, _GAUSSIAN_ROWS)
     else:
-        # numpy's generators and casts, BLAS and scipy's sparse products
-        # release the GIL
+        rows = max(1, _GAUSSIAN_ROWS // workers)
+        # numpy's generators and casts and scipy's sparse products release
+        # the GIL
         with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(fn, *block) for block in blocks]:
+            for future in [pool.submit(fn, *block, rows) for block in blocks]:
                 future.result()
 
 
@@ -186,14 +200,14 @@ def _gaussian_table(s, m, seed):
     table = np.empty((s, m), dtype=np.float32)
     scale = math.sqrt(s)
 
-    def fill(i, r0, r1):
+    def fill(i, r0, r1, rows):
         # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        chunk = np.empty((min(_GAUSSIAN_ROWS, r1 - r0), m))
+        chunk = np.empty((min(rows, r1 - r0), m))
         # consecutive draws from one generator continue one stream, so the
         # chunks give the values of one (r1 - r0, m) draw
-        for c0 in range(r0, r1, _GAUSSIAN_ROWS):
-            c1 = min(c0 + _GAUSSIAN_ROWS, r1)
+        for c0 in range(r0, r1, rows):
+            c1 = min(c0 + rows, r1)
             part = chunk[:c1 - c0]
             rng.standard_normal(out=part)
             np.divide(part, scale, out=part)
@@ -259,11 +273,11 @@ class SketchOperator:
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
         and sparse-sign kinds.  The gaussian kind casts its float32 table
-        back to float64 in row blocks, one per thread at a time: for
-        sparse input ``_GAUSSIAN_ROWS`` rows, O(``_GAUSSIAN_ROWS`` * m)
-        memory per thread beyond the output; for dense input one of the
+        back to float64 in row blocks, so that beyond the output it holds
+        on any core count at most ``_GAUSSIAN_ROWS * m`` float64 entries
+        for sparse input (shared among the threads) and one of the
         ``_GAUSSIAN_STREAMS`` stream blocks, about s * m / 8 float64
-        entries per thread."""
+        entries, for dense input."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -287,24 +301,28 @@ class SketchOperator:
         m = self.m
         out = np.empty((self.s, X.shape[1]))
         table = self._dense
-        if sp.issparse(X):
-            Xt = X.T.tocsr()
+        if not sp.issparse(X):
+            # one product per stream block, on the calling thread, so that
+            # BLAS does the threading: it packs X once per call, and smaller
+            # row chunks would repack it for each chunk
+            blocks = _stream_blocks(self.s)
+            buf = np.empty((max(r1 - r0 for _, r0, r1 in blocks), m))
+            for _, r0, r1 in blocks:
+                block = buf[:r1 - r0]
+                np.copyto(block, table[r0:r1])
+                np.matmul(block, X, out=out[r0:r1])
+            return out
+        Xt = X.T.tocsr()
 
-            def block(i, r0, r1):
-                # one float64 buffer per stream block, reused by its row
-                # chunks: C-order (m, rows), which scipy uses without a copy
-                buf = np.empty(min(_GAUSSIAN_ROWS, r1 - r0) * m)
-                for c0 in range(r0, r1, _GAUSSIAN_ROWS):
-                    c1 = min(c0 + _GAUSSIAN_ROWS, r1)
-                    chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
-                    np.copyto(chunk, table[c0:c1].T)
-                    out[c0:c1] = (Xt @ chunk).T
-        else:
-
-            def block(i, r0, r1):
-                # one product per stream block: BLAS packs X once per call,
-                # so smaller row chunks would repack it for each chunk
-                np.matmul(table[r0:r1].astype(np.float64), X, out=out[r0:r1])
+        def block(i, r0, r1, rows):
+            # one float64 buffer per stream block, reused by its row chunks:
+            # C-order (m, rows), which scipy uses without a copy
+            buf = np.empty(min(rows, r1 - r0) * m)
+            for c0 in range(r0, r1, rows):
+                c1 = min(c0 + rows, r1)
+                chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
+                np.copyto(chunk, table[c0:c1].T)
+                out[c0:c1] = (Xt @ chunk).T
 
         _on_streams(block, self.s, m)
         return out

@@ -136,11 +136,12 @@ class TestBuildSketch:
         np.testing.assert_allclose(dense[0], S @ X, rtol=1e-13, atol=1e-13)
         assert np.array_equal(sparse[0], (Xs.T @ S.T).T)
 
-    def test_gaussian_build_memory(self, monkeypatch):
-        # a float32 table and two threads' float64 draw chunks, well under
-        # the 8 bytes per entry of a float64 table
-        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
-        s = m = 1024
+    @pytest.mark.parametrize("cores", [2, 8])
+    def test_gaussian_build_memory(self, monkeypatch, cores):
+        # a float32 table and the threads' float64 draw chunks, well under
+        # the 8 bytes per entry of a float64 table on any core count
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+        s, m = 512, 4096
         tracemalloc.start()
         try:
             build_sketch("gaussian", s, m, seed=29)
@@ -229,6 +230,37 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < table_bytes / 2
+
+    def test_gaussian_sparse_apply_memory_on_many_cores(self, monkeypatch):
+        # the threads share one float64 chunk budget, so more cores do not
+        # add up to a float64 copy of the table
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
+        s, m = 256, 10_000
+        op = build_sketch("gaussian", s, m, seed=25)
+        X = sp.random_array((m, 20), density=0.01, rng=26, format="csr")
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # _GAUSSIAN_ROWS float64 rows are 1 byte per entry here
+        assert peak < 2 * s * m
+
+    def test_gaussian_dense_apply_memory(self, monkeypatch):
+        # dense input is cast one stream block (s / 8 rows) at a time, on
+        # any core count
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
+        s, m = 256, 4096
+        op = build_sketch("gaussian", s, m, seed=30)
+        X = np.random.default_rng(31).standard_normal((m, 3))
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s * m
 
     def test_srtt_sparse_crosses_column_blocks(self):
         # more columns than the internal densification block
