@@ -13,12 +13,13 @@ Commands
 ``nearest``   distances of the sketch-orthogonal and classical nearest
               matrices (columns: s, dist_A_P_2, dist_P_T_2, time_P_s,
               sandwich_pass).
-``gen``       emit generated benchmark matrices as Matrix Market files.
+``gen``       write the matrix that ``--matrix`` and ``--seed`` name (seeded
+              as below) to the Matrix Market file ``--out``.
 
 Conventions
 -----------
 * Matrix sources: ``cauchy:N``, ``sprand:M,N,DENSITY,KAPPA``, ``randn:M,N``,
-  or a Matrix Market file path.
+  or a Matrix Market file path; a malformed one is an input error.
 * Sketch dimensions: ``--s`` takes a comma list of integers or ``Kn``
   multiples of the column count (e.g. ``2n,4n``); without ``--s``, the
   dimension comes from ``(--eps, --delta)``.
@@ -89,17 +90,27 @@ PRESETS = {
 _NO_PRESET = {"sketch": "srtt", "reps": 50}
 
 
+# Generated matrix sources: name -> (form, parameter types, generator).
+_SOURCES = {
+    "cauchy": ("cauchy:N", (int,), lambda seed, n: gen_cauchy(CauchySpec(n=n))),
+    "sprand": ("sprand:M,N,DENSITY,KAPPA", (int, int, float, float),
+               lambda seed, *params: gen_sparse_conditioned(*params, seed)),
+    "randn": ("randn:M,N", (int, int),
+              lambda seed, m, n: np.random.default_rng(seed).standard_normal((m, n))),
+}
+
+
 def _load_matrix(src, seed):
-    if src.startswith("cauchy:"):
-        A = gen_cauchy(CauchySpec(n=int(src.split(":", 1)[1])))
-    elif src.startswith("sprand:"):
-        m, n, density, kappa = src.split(":", 1)[1].split(",")
-        A = gen_sparse_conditioned(int(m), int(n), float(density), float(kappa), seed)
-    elif src.startswith("randn:"):
-        m, n = (int(p) for p in src.split(":", 1)[1].split(","))
-        A = np.random.default_rng(seed).standard_normal((m, n))
-    else:
+    name, colon, params = src.partition(":")
+    if not (colon and name in _SOURCES):
         A = read_matrix_market(src)
+    else:
+        form, types, generate = _SOURCES[name]
+        try:
+            values = [cast(v) for cast, v in zip(types, params.split(","), strict=True)]
+        except ValueError:
+            raise ValueError(f"matrix source {src!r} is not of the form {form}") from None
+        A = generate(seed, *values)
     A = as_matrix(A)
     check_finite(A, "input matrix")
     return A
@@ -121,11 +132,16 @@ def _seeds(master, count):
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
+def _matrix(args):
+    """The matrix ``--matrix`` names; a random one is drawn from child 0 of
+    ``--seed``."""
+    return _load_matrix(args.matrix, _seeds(args.seed, 1)[0])
+
+
 def _setup(args):
-    """The matrix of a run (from child 0 of the master seed) and its sketch
-    dimensions (``--s``, or else the one that ``(--eps, --delta)`` call
-    for)."""
-    A = _load_matrix(args.matrix, _seeds(args.seed, 1)[0])
+    """The matrix of a run (see :func:`_matrix`) and its sketch dimensions
+    (``--s``, or else the one that ``(--eps, --delta)`` call for)."""
+    A = _matrix(args)
     m, n = A.shape
     if args.s:
         dims = _parse_s_list(args.s, n)
@@ -189,6 +205,24 @@ def _write(args, columns, rows, meta, comments, raw_columns, raw_rows=()):
         write_csv(f"{args.out}.raw.csv", raw_columns, raw_rows)
 
 
+def _write_table(args, dims, raw, columns, raw_columns, meta, comment, failures,
+                 message):
+    """Write the per-``s`` means of ``columns``, the common meta keys then
+    ``meta``, and the ``raw_columns`` of each repetition; exit code 4 and
+    ``message`` under ``--strict`` when ``failures`` is nonzero."""
+    meta = {
+        "command": args.command, "matrix": args.matrix, "sketch": args.sketch,
+        "s_list": dims, "reps": args.reps, "seed": args.seed,
+        "asserted_eps": args.eps, **meta,
+    }
+    _write(args, ["s"] + columns, _means(raw, dims, args.reps, columns), meta,
+           [comment], ["s", "rep"] + raw_columns, raw)
+    if args.strict and failures > 0:
+        print(f"{args.command}: {message}", file=sys.stderr)
+        return 4
+    return 0
+
+
 def cmd_spectrum(args):
     A, dims = _setup(args)
     m, n = A.shape
@@ -207,15 +241,17 @@ def cmd_spectrum(args):
     k_ref = min(ell, min(m, n) - 1)
     # The child past the repetitions' children (1 .. reps): no other stream.
     rng = np.random.default_rng(_seeds(args.seed, 2 + args.reps)[-1])
-    ref_padded = np.full(ell, np.nan)
-    t0 = time.perf_counter()
-    if k_ref >= 1:
-        ref = scipy.sparse.linalg.svds(
-            A.astype(np.float64), k=k_ref, v0=rng.standard_normal(min(m, n)),
-            return_singular_vectors=False,
-        )
-        ref_padded[:k_ref] = np.sort(ref)[::-1]
-    time_ref = time.perf_counter() - t0
+
+    def reference():
+        ref = np.full(ell, np.nan)
+        if k_ref >= 1:
+            ref[:k_ref] = np.sort(scipy.sparse.linalg.svds(
+                A.astype(np.float64), k=k_ref, v0=rng.standard_normal(min(m, n)),
+                return_singular_vectors=False,
+            ))[::-1]
+        return ref
+
+    ref_padded, time_ref = _timed(reference)
 
     def rep(op):
         # sts_singular_values returns min(s, n) >= ell values
@@ -265,22 +301,13 @@ def cmd_ortho(args):
     violations = sum(not (two.passed and fro.passed) for two, fro in bounds)
     bound_two, bound_fro = (b.rhs for b in bounds[0])
     columns = ["fro_loss", "two_loss", "time_s"]
-    meta = {
-        "command": "ortho", "matrix": args.matrix, "sketch": args.sketch,
-        "s_list": dims, "reps": args.reps, "seed": args.seed,
-        "asserted_eps": eps, "bound_two": bound_two, "bound_fro": bound_fro,
-        "violations": violations,
-    }
+    meta = {"bound_two": bound_two, "bound_fro": bound_fro, "violations": violations}
     comment = (
         f"asserted_eps={eps:g} bound_two={bound_two:.6g} bound_fro={bound_fro:.6g} "
         f"violations={violations}"
     )
-    _write(args, ["s"] + columns, _means(raw, dims, args.reps, columns), meta,
-           [comment], ["s", "rep"] + columns, raw)
-    if args.strict and violations > 0:
-        print(f"ortho: {violations} bound violations at eps={eps:g}", file=sys.stderr)
-        return 4
-    return 0
+    return _write_table(args, dims, raw, columns, columns, meta, comment, violations,
+                        f"{violations} bound violations at eps={eps:g}")
 
 
 def cmd_nearest(args):
@@ -307,40 +334,34 @@ def cmd_nearest(args):
     raw = list(_repetitions(args, A, dims, rep))
     failures = sum(not r["sandwich_pass"] for r in raw)
     columns = ["dist_A_P_2", "dist_P_T_2", "time_P_s", "sandwich_pass"]
-    meta = {
-        "command": "nearest", "matrix": args.matrix, "sketch": args.sketch,
-        "s_list": dims, "reps": args.reps, "seed": args.seed,
-        "asserted_eps": args.eps, "time_T_s": time_T,
-        "dist_A_T_2": float(dist_AT), "sandwich_failures": failures,
-    }
-    _write(args, ["s"] + columns, _means(raw, dims, args.reps, columns), meta,
-           [f"time_T_s={time_T:.6f} dist_A_T_2={dist_AT:.17g}"],
-           ["s", "rep", "dist_A_P_2", "dist_P_T_2", "time_P_s", "epsilon_emp",
-            "sandwich_pass"], raw)
-    if args.strict and failures > 0:
-        print(f"nearest: {failures} sandwich violations", file=sys.stderr)
-        return 4
-    return 0
+    meta = {"time_T_s": time_T, "dist_A_T_2": float(dist_AT),
+            "sandwich_failures": failures}
+    return _write_table(
+        args, dims, raw, columns,
+        ["dist_A_P_2", "dist_P_T_2", "time_P_s", "epsilon_emp", "sandwich_pass"],
+        meta, f"time_T_s={time_T:.6f} dist_A_T_2={dist_AT:.17g}", failures,
+        f"{failures} sandwich violations",
+    )
 
 
 def cmd_gen(args):
-    if args.generator == "cauchy":
-        X = gen_cauchy(CauchySpec(n=args.n))
-    else:
-        X = gen_sparse_conditioned(
-            args.m, args.n, args.density, args.kappa, args.seed
-        )
-    write_matrix_market(X, args.out, comment=f"sketchsvd gen {args.generator}")
+    write_matrix_market(_matrix(args), args.out,
+                        comment=f"sketchsvd gen --matrix {args.matrix} --seed {args.seed}")
     return 0
 
 
+def _add_matrix(p, required):
+    p.add_argument("--matrix", required=required,
+                   help="cauchy:N | sprand:M,N,DENSITY,KAPPA | randn:M,N | file.mtx")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _add_common(p):
-    p.add_argument("--matrix", help="cauchy:N | sprand:M,N,D,K | randn:M,N | file.mtx")
+    _add_matrix(p, required=False)
     p.add_argument("--sketch", choices=KINDS, default=None)
     p.add_argument("--s", default=None, help="comma list; integers or Kn multiples")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--raw", action="store_true")
@@ -358,13 +379,8 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "ortho", "nearest"):
         _add_common(sub.add_parser(name))
-    g = sub.add_parser("gen", help="write a generated matrix as Matrix Market")
-    g.add_argument("generator", choices=["cauchy", "sprand"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, default=None)
-    g.add_argument("--density", type=float, default=0.01)
-    g.add_argument("--kappa", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g = sub.add_parser("gen", help="write the matrix --matrix names as Matrix Market")
+    _add_matrix(g, required=True)
     g.add_argument("--out", required=True)
     return parser
 
@@ -394,8 +410,6 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         if args.command == "gen":
-            if args.generator == "sprand" and args.m is None:
-                raise ValueError("gen sprand requires --m")
             return cmd_gen(args)
         _apply_preset(args)
         if args.matrix is None:

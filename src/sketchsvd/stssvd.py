@@ -21,7 +21,7 @@ A) and the SVD of its triangular factor.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,6 @@ class StsSvdFactors:
     theta: np.ndarray
     V: np.ndarray
     r: int
-    op: object = field(repr=False)
 
     def reconstruct(self):
         return (self.W * self.theta) @ self.V.T
@@ -126,7 +125,7 @@ def sts_svd(A, op, rtol=None):
     V = np.ascontiguousarray(V_all[:, :r])
     W = A @ (V / theta) if r else np.zeros((A.shape[0], 0))
     W = np.asarray(W)
-    return StsSvdFactors(W=W, theta=theta, V=V, r=r, op=op)
+    return StsSvdFactors(W=W, theta=theta, V=V, r=r)
 
 
 def sketched_qr(A, op, rtol=_QR_RTOL):
@@ -204,7 +203,7 @@ def sts_svd_via_qr(A, op, rtol=None):
     f = jacobi_svd(R)
     r = numerical_rank(f.sigma, rtol)
     V = np.ascontiguousarray(f.V[:, :r])
-    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V, r=r, op=op)
+    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V, r=r)
 
 
 def truncate(f, k):
@@ -219,7 +218,6 @@ def truncate(f, k):
         theta=f.theta[:k].copy(),
         V=f.V[:, :k].copy(),
         r=int(k),
-        op=f.op,
     )
 
 

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import weakref
 
 import numpy as np
@@ -27,23 +29,65 @@ def strip_times(csv_text):
 class TestGen:
     def test_cauchy_round_trip(self, tmp_path):
         out = tmp_path / "c.mtx"
-        assert run(["gen", "cauchy", "--n", 20, "--out", out]) == 0
+        assert run(["gen", "--matrix", "cauchy:20", "--out", out]) == 0
         A = read_matrix_market(out)
         assert A.shape == (20, 20)
         np.testing.assert_allclose(A[0, 0], 1.0 / (2.0 - 1000.0))
 
     def test_sprand(self, tmp_path):
         out = tmp_path / "s.mtx"
-        rc = run(
-            ["gen", "sprand", "--m", 100, "--n", 10, "--density", 0.1,
-             "--kappa", "1e4", "--seed", 3, "--out", out]
-        )
+        rc = run(["gen", "--matrix", "sprand:100,10,0.1,1e4", "--seed", 3, "--out", out])
         assert rc == 0
         A = read_matrix_market(out)
         assert A.shape == (100, 10)
 
-    def test_sprand_needs_m(self, tmp_path):
-        assert run(["gen", "sprand", "--n", 5, "--out", tmp_path / "x.mtx"]) == 2
+    def test_old_positional_form_rejected(self, tmp_path):
+        assert run(["gen", "cauchy", "--n", 20, "--out", tmp_path / "c.mtx"]) == 2
+
+    @pytest.mark.parametrize("command", ["ortho", "nearest"])
+    @pytest.mark.parametrize("src", ["sprand:300,10,0.1,1e4", "randn:200,10"])
+    def test_written_matrix_gives_same_rows(self, tmp_path, src, command):
+        # gen writes the matrix that --matrix SRC names under the same --seed
+        mtx = tmp_path / "a.mtx"
+        assert run(["gen", "--matrix", src, "--seed", 7, "--out", mtx]) == 0
+        raws = []
+        for matrix in (src, mtx):
+            out = tmp_path / f"{len(raws)}.csv"
+            assert run([command, "--matrix", matrix, "--sketch", "gaussian",
+                        "--s", "4n,8n", "--reps", 2, "--seed", 7, "--out", out,
+                        "--raw"]) == 0
+            raws.append(strip_times((tmp_path / f"{out.name}.raw.csv").read_text()))
+        assert raws[0] == raws[1]
+
+
+@pytest.mark.parametrize("command", ["gen", "ortho"])
+@pytest.mark.parametrize("src, form", [
+    ("cauchy:", "cauchy:N"),
+    ("cauchy:5,6", "cauchy:N"),
+    ("sprand:10,5", "sprand:M,N,DENSITY,KAPPA"),
+    ("sprand:10,5,x,1e4", "sprand:M,N,DENSITY,KAPPA"),
+    ("randn:10", "randn:M,N"),
+    ("randn:10,2.5", "randn:M,N"),
+])
+def test_malformed_source_names_its_form(tmp_path, capsys, command, src, form):
+    rc = run([command, "--matrix", src, "--out", tmp_path / "x"])
+    assert rc == 2
+    assert form in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `sketchsvd ...` line of the README, continuations joined
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+        if line.startswith("sketchsvd ")
+    ]
+    assert {argv[0] for argv in commands} == {"spectrum", "ortho", "nearest", "gen"}
+    for argv in commands:
+        try:
+            cli._parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: sketchsvd {shlex.join(argv)}")
 
 
 class TestSpectrum:

@@ -1,4 +1,5 @@
-"""Golden outputs of every CLI subcommand, with the time fields masked.
+"""Golden outputs of the ``spectrum``, ``ortho`` and ``nearest`` subcommands,
+with the time fields masked.
 
 Each case runs the CLI in-process on a fixed input and compares its exit
 code and every file it writes (CSV, ``.jsonl`` mirror, ``.raw.csv``; or

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -134,6 +137,19 @@ class TestStsSvd:
         op = build_sketch("gaussian", 4, 40, seed=0)
         with pytest.raises(ShapeError):
             sts_svd(np.ones((41, 2)), op)
+
+    @pytest.mark.parametrize("route", [sts_svd, sts_svd_via_qr])
+    def test_factors_do_not_keep_operator_alive(self, route):
+        # a desk-scale gaussian table is 160 MB: it must go with its last user
+        A = np.random.default_rng(23).standard_normal((50, 5))
+        op = build_sketch("gaussian", 20, 50, seed=24)
+        alive = weakref.ref(op)
+        f = route(A, op)
+        head = truncate(f, 3)
+        del op
+        gc.collect()
+        assert alive() is None
+        assert f.r == 5 and head.r == 3
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(13)
