@@ -29,7 +29,7 @@ from .errors import (
     SketchRankWarning,
     UnsupportedFormatError,
 )
-from .generators import CauchySpec, gen_cauchy, gen_sparse_conditioned
+from .generators import gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_matrix_market
 from .nearest import (
     BoundReport,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CauchySpec",
     "CosineAudit",
     "EmbeddingCertificate",
     "EmbeddingSpec",

@@ -21,8 +21,8 @@ Conventions
 * Matrix sources: ``cauchy:N``, ``sprand:M,N,DENSITY,KAPPA``, ``randn:M,N``,
   or a Matrix Market file path; a malformed one is an input error.
 * Sketch dimensions: ``--s`` takes a comma list of integers or ``Kn``
-  multiples of the column count (e.g. ``2n,4n``); without ``--s``, the
-  dimension comes from ``(--eps, --delta)``.
+  multiples of the column count (e.g. ``2n,4n``), and ``spectrum`` takes
+  one; without ``--s``, the dimension comes from ``(--eps, --delta)``.
 * Seeding: the master ``--seed`` spawns children through
   ``numpy.random.SeedSequence``.  Child 0 seeds the matrix; children 1,
   2, ... seed the sketch operators, one per (sketch-dimension,
@@ -53,7 +53,7 @@ from .densekernels import (
     as_matrix, check_finite, numerical_rank, spectral_norm, to_dense
 )
 from .errors import NumericalError
-from .generators import CauchySpec, gen_cauchy, gen_sparse_conditioned
+from .generators import gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
 from .nearest import (
     loss_bounds, nearest_orthogonal, nearest_sts_orthogonal, sandwich_bounds
@@ -92,7 +92,7 @@ _NO_PRESET = {"sketch": "srtt", "reps": 50}
 
 # Generated matrix sources: name -> (form, parameter types, generator).
 _SOURCES = {
-    "cauchy": ("cauchy:N", (int,), lambda seed, n: gen_cauchy(CauchySpec(n=n))),
+    "cauchy": ("cauchy:N", (int,), lambda seed, n: gen_cauchy(n)),
     "sprand": ("sprand:M,N,DENSITY,KAPPA", (int, int, float, float),
                lambda seed, *params: gen_sparse_conditioned(*params, seed)),
     "randn": ("randn:M,N", (int, int),
@@ -225,6 +225,8 @@ def _write_table(args, dims, raw, columns, raw_columns, meta, comment, failures,
 
 def cmd_spectrum(args):
     A, dims = _setup(args)
+    if len(dims) != 1:
+        raise ValueError(f"spectrum takes one sketch dimension, got --s {args.s}")
     m, n = A.shape
     s = dims[0]
     ell = min(40, s, min(m, n))

@@ -64,7 +64,7 @@ class PolarPair:
 
 
 def householder_qr(X):
-    """Thin QR factorization with a nonnegative-diagonal sign convention.
+    """R factor of the thin QR factorization, with a nonnegative diagonal.
 
     Parameters
     ----------
@@ -72,17 +72,17 @@ def householder_qr(X):
 
     Returns
     -------
-    Q : (m, n) array with orthonormal columns
-    R : (n, n) upper-triangular array, diag(R) >= 0
+    R : (n, n) upper-triangular array, diag(R) >= 0, with ``X = Q R`` for
+        a Q with orthonormal columns that is never formed
     """
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
     if m < n:
         raise ShapeError(f"householder_qr requires m >= n, got {m} x {n}")
-    Q, R = np.linalg.qr(X, mode="reduced")
+    R = np.linalg.qr(X, mode="r")
     d = np.sign(np.diag(R))
     d[d == 0] = 1.0
-    return Q * d, d[:, None] * R
+    return d[:, None] * R
 
 
 def jacobi_svd(X):

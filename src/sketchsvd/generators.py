@@ -8,37 +8,21 @@ of the right density and conditioning, not an exact clone of any
 particular generator).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GenerationError
 
 
-@dataclass(frozen=True)
-class CauchySpec:
-    """Entry rule ``C[i, j] = 1 / (x_i + y_j)`` on two equispaced grids
-    (endpoints included).  The default intervals keep every ``x_i + y_j``
-    away from zero."""
-
-    n: int
-    x_interval: tuple = (2.0, 100.0)
-    y_interval: tuple = (-1000.0, -500.0)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-
-
-def gen_cauchy(spec):
-    """Dense (n, n) Cauchy matrix for ``spec``."""
-    x = np.linspace(spec.x_interval[0], spec.x_interval[1], spec.n)
-    y = np.linspace(spec.y_interval[0], spec.y_interval[1], spec.n)
-    denom = x[:, None] + y[None, :]
-    if (denom == 0.0).any():
-        raise GenerationError("grids collide: some x_i + y_j is zero")
-    return 1.0 / denom
+def gen_cauchy(n):
+    """Dense (n, n) Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)`` on the
+    equispaced grids ``x`` over [2, 100] and ``y`` over [-1000, -500]
+    (endpoints included), so every ``x_i + y_j`` is at most -400."""
+    if n < 2:
+        raise GenerationError(f"need n >= 2, got {n}")
+    x = np.linspace(2.0, 100.0, n)
+    y = np.linspace(-1000.0, -500.0, n)
+    return 1.0 / (x[:, None] + y[None, :])
 
 
 def gen_sparse_conditioned(m, n, density, kappa, seed):
@@ -53,8 +37,8 @@ def gen_sparse_conditioned(m, n, density, kappa, seed):
     """
     if not 0.0 < density <= 1.0:
         raise GenerationError(f"density must be in (0, 1], got {density}")
-    if kappa < 1.0:
-        raise GenerationError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < np.inf:
+        raise GenerationError(f"kappa must be finite and >= 1, got {kappa}")
     rng = np.random.default_rng(seed)
     A = sp.random_array(
         (m, n), density=density, format="csc", rng=rng, data_sampler=rng.random

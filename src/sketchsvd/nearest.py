@@ -27,9 +27,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .sketchops import empirical_epsilon
-from .stssvd import sts_svd
-
-PASS_SLACK = 1e-10
+from .stssvd import PASS_SLACK, sts_svd
 
 
 @dataclass(frozen=True)
@@ -41,10 +39,10 @@ class BoundReport:
     rhs: float
     epsilon: float
     passed: bool
-    description: str = ""
+    description: str
 
 
-def _report(bound_id, lhs, rhs, epsilon, description=""):
+def _report(bound_id, lhs, rhs, epsilon, description):
     return BoundReport(
         bound_id=bound_id,
         lhs=float(lhs),
@@ -72,7 +70,7 @@ class NearestSandwich:
         return self.lower.passed and self.upper.passed
 
 
-def nearest_sts_orthogonal(A, op, rtol=None):
+def nearest_sts_orthogonal(A, op):
     """Nearest sketch-orthogonal matrix to A in the sketch norms.
 
     Returns the pair ``(P, H)`` with ``A = P H``, ``(SP)^T SP = I`` and H
@@ -83,12 +81,13 @@ def nearest_sts_orthogonal(A, op, rtol=None):
     Raises
     ------
     RankDeficiencyError
-        If A is not full column rank at ``rtol`` (the family of
-        sketch-orthogonal candidates spanning Range(A) needs r == n).
+        If A is not full column rank at :func:`sts_svd`'s default
+        threshold (the family of sketch-orthogonal candidates spanning
+        Range(A) needs r == n).
     """
     A = as_matrix(A)
     n = A.shape[1]
-    f = sts_svd(A, op, rtol=rtol)
+    f = sts_svd(A, op)
     if f.r < n:
         raise RankDeficiencyError(
             f"nearest_sts_orthogonal requires full column rank: retained "
@@ -106,11 +105,11 @@ def nearest_orthogonal(A):
     return polar_factors(A)
 
 
-def sts_polar_of_orthonormal(T, op, floor=-1e-12):
+def sts_polar_of_orthonormal(T, op):
     """Sketch-orthogonal polar factor of an orthonormal matrix T.
 
     With ``H = ((ST)^T (ST))^(1/2)`` from a symmetric eigendecomposition
-    (eigenvalues clipped to zero above ``floor``, error below) the pair
+    (eigenvalues clipped to zero above -1e-12, error below) the pair
     satisfies ``T = Q_T @ H`` and ``(S Q_T)^T (S Q_T) = I``.
     """
     T = np.asarray(T, dtype=np.float64)
@@ -124,7 +123,7 @@ def sts_polar_of_orthonormal(T, op, floor=-1e-12):
     M = ST.T @ ST
     M = 0.5 * (M + M.T)
     lam, E = np.linalg.eigh(M)
-    if lam[0] < floor:
+    if lam[0] < -1e-12:
         raise NumericalError(
             f"sketched Gram matrix is indefinite (min eigenvalue {lam[0]:.3e})"
         )
@@ -276,7 +275,7 @@ def sandwich_bounds(dist_AP, dist_AT, eps):
     return lower, upper
 
 
-def nearest_sandwich_report(A, op, rtol=None, cert=None):
+def nearest_sandwich_report(A, op, cert=None):
     """Compare the two nearest-matrix minimizers in the spectral norm.
 
     Computes the sketch-orthogonal minimizer P and the classical minimizer
@@ -290,7 +289,7 @@ def nearest_sandwich_report(A, op, rtol=None, cert=None):
     of T): every subspace the inequality's derivation touches.
     """
     A = as_matrix(A)
-    P = nearest_sts_orthogonal(A, op, rtol=rtol).P
+    P = nearest_sts_orthogonal(A, op).P
     T = nearest_orthogonal(A).P
     if cert is None:
         cert = empirical_epsilon(op, T)

@@ -389,13 +389,13 @@ def empirical_epsilon(op, U):
     )
 
 
-def pairwise_cosine_audit(op, P, slack=1e-7):
+def pairwise_cosine_audit(op, P):
     """Largest pairwise column cosine of a sketch-orthonormal ``P``.
 
     Requires nonzero columns and ``(SP)^T (SP) = I`` within 1e-8.  The
     returned flag checks the cosine against ``epsilon_emp`` measured over
     ``Range(P)``, which contains every normalized column pair sum and
-    difference, so the bound is deterministic up to the stated slack.
+    difference, so the bound is deterministic up to a slack of 1e-7.
     """
     P = np.asarray(P, dtype=np.float64)
     norms = np.linalg.norm(P, axis=0)
@@ -417,5 +417,5 @@ def pairwise_cosine_audit(op, P, slack=1e-7):
     return CosineAudit(
         max_abs_cosine=max_cos,
         epsilon_emp=cert.epsilon_emp,
-        within_bound=max_cos <= cert.epsilon_emp + slack,
+        within_bound=max_cos <= cert.epsilon_emp + 1e-7,
     )

@@ -43,6 +43,9 @@ _EPS = np.finfo(np.float64).eps
 # sketched_qr's default column threshold
 _QR_RTOL = 1e-12
 
+# Absolute slack of every bound's pass flag, for roundoff in either side
+PASS_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class StsSvdFactors:
@@ -51,7 +54,11 @@ class StsSvdFactors:
     W: np.ndarray
     theta: np.ndarray
     V: np.ndarray
-    r: int
+
+    @property
+    def r(self):
+        """Retained rank: the number of theta values."""
+        return self.theta.size
 
     def reconstruct(self):
         return (self.W * self.theta) @ self.V.T
@@ -125,7 +132,7 @@ def sts_svd(A, op, rtol=None):
     V = np.ascontiguousarray(V_all[:, :r])
     W = A @ (V / theta) if r else np.zeros((A.shape[0], 0))
     W = np.asarray(W)
-    return StsSvdFactors(W=W, theta=theta, V=V, r=r)
+    return StsSvdFactors(W=W, theta=theta, V=V)
 
 
 def sketched_qr(A, op, rtol=_QR_RTOL):
@@ -162,7 +169,7 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
         raise ShapeError(f"sketched_qr needs s >= n, got s={op.s}, n={n}")
     SA = op.apply(A)
     check_finite(SA, "sketched matrix")
-    _, R1 = householder_qr(SA)
+    R1 = householder_qr(SA)
     Q = A.toarray(order="F") if sp.issparse(A) else np.array(A, order="F")
     resid = np.diag(R1)
     dependent = np.flatnonzero(resid <= rtol * np.linalg.norm(Q, axis=0))
@@ -174,7 +181,7 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
             column=j,
         )
     Q = dtrsm(1.0, R1, Q, side=1, overwrite_b=1)
-    _, R2 = householder_qr(op.apply(Q))
+    R2 = householder_qr(op.apply(Q))
     cond = np.linalg.cond(R2)
     if not cond < _EPS**-0.5:
         raise NumericalError(f"S Q1 has condition number {cond:.3e} after one pass")
@@ -203,7 +210,7 @@ def sts_svd_via_qr(A, op, rtol=None):
     f = jacobi_svd(R)
     r = numerical_rank(f.sigma, rtol)
     V = np.ascontiguousarray(f.V[:, :r])
-    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V, r=r)
+    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V)
 
 
 def truncate(f, k):
@@ -217,7 +224,6 @@ def truncate(f, k):
         W=f.W[:, :k].copy(),
         theta=f.theta[:k].copy(),
         V=f.V[:, :k].copy(),
-        r=int(k),
     )
 
 
@@ -231,19 +237,17 @@ def s_two_norm(X, op):
     return spectral_norm(op.apply(X))
 
 
-def compare_spectra(f, reference, cert, slack=1e-10):
-    """Check every retained theta against the reference singular values.
+def compare_spectra(f, sigma, cert):
+    """Check every retained theta against the reference singular values
+    ``sigma`` (nonincreasing, at least ``f.r`` of them).
 
-    ``flags[k]`` is true iff ``sqrt(1 - eps) * sigma_k - slack <= theta_k
-    <= sqrt(1 + eps) * sigma_k + slack`` with ``eps = cert.epsilon_emp``.
-    When the certificate was measured over the range of the factored
-    matrix, every flag holds deterministically.
+    ``flags[k]`` is true iff ``sqrt(1 - eps) * sigma_k - PASS_SLACK <=
+    theta_k <= sqrt(1 + eps) * sigma_k + PASS_SLACK`` with
+    ``eps = cert.epsilon_emp``.  When the certificate was measured over the
+    range of the factored matrix, every flag holds deterministically.
     """
     theta = np.asarray(f.theta, dtype=np.float64)
-    sigma = np.asarray(
-        reference.sigma if hasattr(reference, "sigma") else reference,
-        dtype=np.float64,
-    )
+    sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size < theta.size:
         raise ShapeError(
             f"reference spectrum has {sigma.size} values, need >= {theta.size}"
@@ -252,7 +256,7 @@ def compare_spectra(f, reference, cert, slack=1e-10):
     eps = cert.epsilon_emp
     lo = np.sqrt(max(1.0 - eps, 0.0)) * sigma
     hi = np.sqrt(1.0 + eps) * sigma
-    flags = (theta >= lo - slack) & (theta <= hi + slack)
+    flags = (theta >= lo - PASS_SLACK) & (theta <= hi + PASS_SLACK)
     return SpectrumComparison(
         theta=theta, sigma=sigma, epsilon_emp=eps, flags=flags
     )

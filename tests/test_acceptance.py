@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sketchsvd import (
-    CauchySpec,
     build_sketch,
     compare_spectra,
     empirical_epsilon,
@@ -35,7 +34,6 @@ from sketchsvd import (
     truncate,
 )
 from sketchsvd.cli import main as cli_main
-from sketchsvd.densekernels import SvdFactors
 
 XL_ENABLED = bool(os.environ.get("SKETCHSVD_XL"))
 ABTAHA2_PATH = os.environ.get(
@@ -85,16 +83,15 @@ def test_singular_value_sandwich_deterministic():
         op = build_sketch(kind, s, m, seed=seed)
         f = sts_svd(A, op)
         sigma = np.linalg.svd(A, compute_uv=False)
-        ref = SvdFactors(U=np.zeros((m, n)), sigma=sigma, V=np.zeros((n, n)))
         cert = empirical_epsilon(op, range_basis(A))
-        cmp = compare_spectra(f, ref, cert, slack=1e-10)
+        cmp = compare_spectra(f, sigma, cert)
         failures += int(not cmp.all_within)
     assert failures == 0
     announce("singular-value sandwich at measured distortion", "50/50 instances")
 
 
 def test_rank_detection_cauchy_desk():
-    C = gen_cauchy(CauchySpec(n=200))
+    C = gen_cauchy(200)
     sigma = np.linalg.svd(C, compute_uv=False)
     rank_sigma = numerical_rank(sigma, 1e-12)
     hits = 0

@@ -1,6 +1,10 @@
 import json
+import os
 import pathlib
+import re
 import shlex
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -60,6 +64,13 @@ class TestGen:
         assert raws[0] == raws[1]
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_kappa_is_input_error(capsys, kappa):
+    rc = run(["ortho", "--matrix", f"sprand:200,5,0.5,{kappa}", "--s", 20, "--reps", 1])
+    assert rc == 2
+    assert "kappa must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gen", "ortho"])
 @pytest.mark.parametrize("src, form", [
     ("cauchy:", "cauchy:N"),
@@ -88,6 +99,17 @@ def test_readme_commands_parse():
             cli._parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: sketchsvd {shlex.join(argv)}")
+
+
+def test_readme_quick_tour_runs():
+    # the README's python block, in a fresh interpreter with BLAS on one thread
+    root = pathlib.Path(__file__).parents[1]
+    (tour,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", tour], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSpectrum:
@@ -152,6 +174,11 @@ class TestSpectrum:
 
     def test_missing_file(self):
         assert run(["spectrum", "--matrix", "/no/such/file.mtx"]) == 2
+
+    def test_several_sketch_dims_rejected(self, capsys):
+        rc = run(["spectrum", "--matrix", "cauchy:30", "--s", "10,20", "--reps", 2])
+        assert rc == 2
+        assert "spectrum takes one sketch dimension" in capsys.readouterr().err
 
     def test_nan_input_is_numerical_failure(self, tmp_path):
         bad = tmp_path / "bad.mtx"

@@ -15,9 +15,10 @@ changed with
 
     PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]
 
-and review the diff; with no case named, every file is rewritten, and the
-ones whose output did not change come back with roundoff-level churn in
-their floats.
+and review the diff.  With no case named, only the files whose fresh
+output fails the comparison above are rewritten, so a case whose output
+did not change keeps its bytes instead of coming back with roundoff-level
+churn in its floats.
 """
 
 import contextlib
@@ -216,13 +217,24 @@ def test_matching_tolerates_float_noise_only():
 
 
 def write_goldens(names):
+    """Rewrite the golden files of the named cases; with none named, those
+    of the cases whose output no longer matches its file."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown golden cases: {', '.join(unknown)}")
-    for name in names:
+    for name in names or CASES:
+        path = GOLDEN / f"{name}.txt"
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / f"{name}.txt").write_text(run_case(name, pathlib.Path(tmp)))
+            text = run_case(name, pathlib.Path(tmp))
+        if not names and path.exists():
+            try:
+                _assert_matches(text, path.read_text())
+                continue
+            except AssertionError:
+                pass
+        path.write_text(text)
+        print(f"rewrote {path}")
 
 
 if __name__ == "__main__":
-    write_goldens(sys.argv[1:] or list(CASES))
+    write_goldens(sys.argv[1:])

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sketchsvd import CauchySpec, GenerationError, gen_cauchy, gen_sparse_conditioned
+from sketchsvd import GenerationError, gen_cauchy, gen_sparse_conditioned
 from sketchsvd.stssvd import numerical_rank
 
 
 class TestGenCauchy:
     def test_closed_form_n2(self):
-        C = gen_cauchy(CauchySpec(n=2))
+        C = gen_cauchy(2)
         # grids are the interval endpoints
         np.testing.assert_allclose(C[0, 0], 1.0 / (2.0 - 1000.0))
         np.testing.assert_allclose(C[0, 1], 1.0 / (2.0 - 500.0))
@@ -16,24 +16,19 @@ class TestGenCauchy:
         np.testing.assert_allclose(C[1, 1], 1.0 / (100.0 - 500.0))
 
     def test_numerically_low_rank(self):
-        C = gen_cauchy(CauchySpec(n=200))
+        C = gen_cauchy(200)
         sigma = np.linalg.svd(C, compute_uv=False)
         assert numerical_rank(sigma, 1e-12) <= 12
 
     def test_entries_match_rule(self):
-        spec = CauchySpec(n=5)
-        C = gen_cauchy(spec)
+        C = gen_cauchy(5)
         x = np.linspace(2, 100, 5)
         y = np.linspace(-1000, -500, 5)
         np.testing.assert_allclose(C, 1.0 / (x[:, None] + y[None, :]))
 
-    def test_colliding_grids_rejected(self):
-        with pytest.raises(GenerationError):
-            gen_cauchy(CauchySpec(n=2, x_interval=(0.0, 2.0), y_interval=(0.0, -2.0)))
-
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            CauchySpec(n=1)
+        with pytest.raises(GenerationError):
+            gen_cauchy(1)
 
 
 class TestGenSparseConditioned:
@@ -71,6 +66,7 @@ class TestGenSparseConditioned:
         with pytest.raises(GenerationError):
             gen_sparse_conditioned(10, 5, density, 10.0, seed=0)
 
-    def test_bad_kappa(self):
+    @pytest.mark.parametrize("kappa", [0.5, np.nan, np.inf])
+    def test_bad_kappa(self, kappa):
         with pytest.raises(GenerationError):
-            gen_sparse_conditioned(10, 5, 0.5, 0.5, seed=0)
+            gen_sparse_conditioned(10, 5, 0.5, kappa, seed=0)
