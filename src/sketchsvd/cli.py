@@ -33,10 +33,11 @@ Conventions
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` 40-90 s
-  (the machine's load varies) and 0.25 GB peak memory (one 2000 x 20000
-  float32 gaussian table at a time), dominated by building the gaussian
-  operators.  Full-scale presets are gated behind ``--xl``.
+  ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about 60 s
+  on a busy machine (its load varies from run to run) and 0.25 GB peak
+  memory (one 2000 x 20000 float32 gaussian table at a time), dominated by
+  building the gaussian operators.  Full-scale presets are gated behind
+  ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4
   asserted bounds violated (only with ``--strict``).
@@ -52,7 +53,7 @@ import scipy.sparse.linalg
 from .densekernels import (
     as_matrix, check_finite, numerical_rank, spectral_norm, to_dense
 )
-from .errors import NumericalError
+from .errors import GenerationError, NumericalError
 from .generators import gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
 from .nearest import (
@@ -90,13 +91,18 @@ PRESETS = {
 _NO_PRESET = {"sketch": "srtt", "reps": 50}
 
 
+def _randn(seed, m, n):
+    if m < 1 or n < 1:
+        raise GenerationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    return np.random.default_rng(seed).standard_normal((m, n))
+
+
 # Generated matrix sources: name -> (form, parameter types, generator).
 _SOURCES = {
     "cauchy": ("cauchy:N", (int,), lambda seed, n: gen_cauchy(n)),
     "sprand": ("sprand:M,N,DENSITY,KAPPA", (int, int, float, float),
                lambda seed, *params: gen_sparse_conditioned(*params, seed)),
-    "randn": ("randn:M,N", (int, int),
-              lambda seed, m, n: np.random.default_rng(seed).standard_normal((m, n))),
+    "randn": ("randn:M,N", (int, int), _randn),
 }
 
 
@@ -110,7 +116,10 @@ def _load_matrix(src, seed):
             values = [cast(v) for cast, v in zip(types, params.split(","), strict=True)]
         except ValueError:
             raise ValueError(f"matrix source {src!r} is not of the form {form}") from None
-        A = generate(seed, *values)
+        try:
+            A = generate(seed, *values)
+        except GenerationError as exc:
+            raise GenerationError(f"matrix source {src!r} ({form}): {exc}") from None
     A = as_matrix(A)
     check_finite(A, "input matrix")
     return A
@@ -120,10 +129,15 @@ def _parse_s_list(text, n):
     out = []
     for token in text.split(","):
         token = token.strip().lower()
-        if token.endswith("n"):
-            out.append(int(round(float(token[:-1] or "1") * n)))
-        else:
-            out.append(int(token))
+        try:
+            if token.endswith("n"):
+                out.append(int(round(float(token[:-1] or "1") * n)))
+            else:
+                out.append(int(token))
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"--s takes a comma list of integers or Kn multiples, got {token!r}"
+            ) from None
     return out
 
 

@@ -35,6 +35,8 @@ def gen_sparse_conditioned(m, n, density, kappa, seed):
     achieved condition number is within a modest factor of the target
     (verified at desk scale by the test suite).
     """
+    if m < 1 or n < 1:
+        raise GenerationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if not 0.0 < density <= 1.0:
         raise GenerationError(f"density must be in (0, 1], got {density}")
     if not 1.0 <= kappa < np.inf:

@@ -13,23 +13,22 @@ Three operator families are supported, identified by their ``kind`` tag:
 * ``"sparse-sign"``  -- per input coordinate, ``zeta = min(8, s)`` distinct
   output rows receive ``+-1/sqrt(zeta)``.
 
-All randomness is drawn at construction time from ``numpy``'s PCG64
-generator, so equal ``(kind, s, m, seed)`` tuples reproduce
-bitwise-identical operators.  The srtt and sparse-sign factors come from one
-generator seeded with the operator's 64-bit ``seed``.  A gaussian table is
-cut into 8 fixed row blocks, and block ``i`` is drawn in float64 from the
+All randomness is drawn at construction time, so equal
+``(kind, s, m, seed)`` tuples reproduce bitwise-identical operators.  The
+srtt and sparse-sign factors come from one ``numpy`` PCG64 generator seeded
+with the operator's 64-bit ``seed``.  A gaussian table is cut into 8 fixed
+row blocks, and block ``i`` holds float32 normals drawn from an SFC64
 generator seeded with child ``i`` of ``numpy.random.SeedSequence(seed)``;
 large tables fill their blocks on parallel threads, and since the block
 count is a constant, the table does not depend on how many threads or
-cores there are.  The gaussian operator stores its scaled draws rounded to
-float32, half the memory of float64, and applies them in float64: rows
-are cast back to float64 in bounded blocks before they multiply the input
-(sparse input on the draw's blocks and threads, dense input on the
-calling thread, whose BLAS threads its own products).  Rounding changes
-the matrix, not the arithmetic, and every certificate here
-(``empirical_epsilon`` and the bounds evaluated at it) measures the
-stored operator, so it is exact for the table as stored;
-:meth:`SketchOperator.materialize` returns that table in float64.
+cores there are.  The float32 table is half the memory of float64, and
+the operator applies it in float64: rows are cast to float64 in bounded
+blocks before they multiply the input (sparse input on the draw's blocks
+and threads, dense input on the calling thread, whose BLAS threads its
+own products).  Every certificate here (``empirical_epsilon`` and the
+bounds evaluated at it) measures the stored operator, so it is exact for
+the table as stored; :meth:`SketchOperator.materialize` returns that
+table in float64.
 Operators are immutable after construction and safe to share across
 threads.
 """
@@ -56,9 +55,9 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 _SRTT_BLOCK = 64
 
 # Float64 rows held at once, shared among the threads, while a gaussian
-# table is drawn or applied to sparse input: each of w threads draws or
-# casts chunks of _GAUSSIAN_ROWS // w rows, so this memory does not grow
-# with the core count.
+# table is applied to sparse input: each of w threads casts chunks of
+# _GAUSSIAN_ROWS // w rows, so this memory does not grow with the core
+# count.
 _GAUSSIAN_ROWS = 32
 
 # A gaussian table is drawn as this many row blocks, each from its own
@@ -69,8 +68,8 @@ _GAUSSIAN_STREAMS = 8
 # Tables with fewer entries are filled, and applied to sparse input, on the
 # calling thread.
 # Starting a thread pool costs about 1 ms; measured on 2 cores, the pool
-# fills 2**18 entries in 5.0 ms against 4.8 ms on one thread, and 2**19
-# entries in 8.4 ms against 9.1 ms.
+# fills 2**18 entries in 5.7 ms, as one thread does, and 2**19 entries in
+# 9.1 ms against 10.7 ms.
 _PARALLEL_MIN_ENTRIES = 1 << 19
 
 
@@ -194,24 +193,22 @@ def _on_streams(fn, s, m):
 
 
 def _gaussian_table(s, m, seed):
-    """(s, m) float32 table of i.i.d. N(0, 1/s) float64 draws rounded to
-    float32, drawn as ``_GAUSSIAN_STREAMS`` row blocks: block ``i`` comes
-    from child ``i`` of ``SeedSequence(seed)``."""
+    """(s, m) float32 table of i.i.d. N(0, 1/s) entries: float32 standard
+    normals divided in float32 by ``sqrt(s)``, drawn as
+    ``_GAUSSIAN_STREAMS`` row blocks straight into the table, block ``i``
+    from an SFC64 generator seeded with child ``i`` of
+    ``SeedSequence(seed)``."""
     table = np.empty((s, m), dtype=np.float32)
-    scale = math.sqrt(s)
+    scale = np.float32(math.sqrt(s))
 
     def fill(i, r0, r1, rows):
-        # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        chunk = np.empty((min(rows, r1 - r0), m))
-        # consecutive draws from one generator continue one stream, so the
-        # chunks give the values of one (r1 - r0, m) draw
-        for c0 in range(r0, r1, rows):
-            c1 = min(c0 + rows, r1)
-            part = chunk[:c1 - c0]
-            rng.standard_normal(out=part)
-            np.divide(part, scale, out=part)
-            table[c0:c1] = part
+        # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i];
+        # the block is drawn whole in float32, so it holds no float64 rows
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        block = table[r0:r1]
+        np.random.Generator(np.random.SFC64(child)).standard_normal(
+            out=block, dtype=np.float32)
+        np.divide(block, scale, out=block)
 
     _on_streams(fill, s, m)
     return table

@@ -10,7 +10,9 @@ import weakref
 import numpy as np
 import pytest
 
-from sketchsvd import SketchRankWarning, cli, read_matrix_market, write_matrix_market
+from sketchsvd import (
+    GenerationError, SketchRankWarning, cli, read_matrix_market, write_matrix_market
+)
 from sketchsvd.cli import main
 
 
@@ -79,11 +81,30 @@ def test_non_finite_kappa_is_input_error(capsys, kappa):
     ("sprand:10,5,x,1e4", "sprand:M,N,DENSITY,KAPPA"),
     ("randn:10", "randn:M,N"),
     ("randn:10,2.5", "randn:M,N"),
+    # empty or negative dimensions
+    ("sprand:0,5,0.5,10", "sprand:M,N,DENSITY,KAPPA"),
+    ("sprand:10,0,0.5,10", "sprand:M,N,DENSITY,KAPPA"),
+    ("randn:5,0", "randn:M,N"),
+    ("randn:-3,5", "randn:M,N"),
 ])
 def test_malformed_source_names_its_form(tmp_path, capsys, command, src, form):
     rc = run([command, "--matrix", src, "--out", tmp_path / "x"])
     assert rc == 2
     assert form in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("src", ["randn:5,0", "randn:0,5", "randn:-3,5"])
+def test_randn_needs_positive_dimensions(src):
+    with pytest.raises(GenerationError, match="randn:M,N"):
+        cli._load_matrix(src, 0)
+
+
+@pytest.mark.parametrize("bad", ["abc", "4x", "infn"])
+def test_bad_s_token_names_the_flag(capsys, bad):
+    rc = run(["ortho", "--matrix", "randn:50,5", "--s", f"10,{bad}", "--reps", 1])
+    assert rc == 2
+    assert f"--s takes a comma list of integers or Kn multiples, got '{bad}'" in (
+        capsys.readouterr().err)
 
 
 def test_readme_commands_parse():

@@ -61,6 +61,11 @@ class TestGenSparseConditioned:
         B = gen_sparse_conditioned(100, 10, 0.05, 1e4, seed=7)
         assert (A != B).nnz == 0
 
+    @pytest.mark.parametrize("m, n", [(0, 5), (10, 0), (-3, 5)])
+    def test_empty_or_negative_dimension(self, m, n):
+        with pytest.raises(GenerationError, match="need m >= 1 and n >= 1"):
+            gen_sparse_conditioned(m, n, 0.5, 10.0, seed=0)
+
     @pytest.mark.parametrize("density", [0.0, 1.5])
     def test_bad_density(self, density):
         with pytest.raises(GenerationError):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,18 +99,26 @@ class TestBuildSketch:
 
     @pytest.mark.parametrize("s", [1, 7, 31, 33, 65])
     def test_gaussian_table_is_eight_seeded_blocks(self, s):
-        # row block i of the table is drawn from child i of SeedSequence(seed)
+        # row block i of the table holds float32 draws from an SFC64
+        # generator seeded with child i of SeedSequence(seed), divided in
+        # float32 by sqrt(s)
         m, seed = 150, 17
         bounds = np.linspace(0, s, 9).astype(int)
         children = np.random.SeedSequence(seed).spawn(8)
         expected = np.vstack([
-            np.random.default_rng(child).standard_normal((b1 - b0, m))
+            np.random.Generator(np.random.SFC64(child)).standard_normal(
+                (b1 - b0, m), dtype=np.float32)
             for child, b0, b1 in zip(children, bounds, bounds[1:])
-        ]) / math.sqrt(s)
-        # the table stores the float64 draws rounded to float32
-        expected = expected.astype(np.float32).astype(np.float64)
+        ]) / np.float32(math.sqrt(s))
+        assert expected.dtype == np.float32
         op = build_sketch("gaussian", s, m, seed)
-        assert np.array_equal(op.materialize(), expected)
+        assert np.array_equal(op.materialize(), expected.astype(np.float64))
+
+    def test_gaussian_table_is_standard_normal(self):
+        # Kolmogorov-Smirnov test of the scaled 64 x 4096 table against N(0, 1)
+        s, m = 64, 4096
+        z = build_sketch("gaussian", s, m, seed=31).materialize() * math.sqrt(s)
+        assert scipy.stats.kstest(z.ravel(), "norm").pvalue > 1e-3
 
     def test_gaussian_table_independent_of_thread_count(self, monkeypatch):
         # large enough for the thread pool; 1 worker fills it in a plain loop
@@ -138,8 +147,7 @@ class TestBuildSketch:
 
     @pytest.mark.parametrize("cores", [2, 8])
     def test_gaussian_build_memory(self, monkeypatch, cores):
-        # a float32 table and the threads' float64 draw chunks, well under
-        # the 8 bytes per entry of a float64 table on any core count
+        # the float32 table and no float64 scratch, on any core count
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
         s, m = 512, 4096
         tracemalloc.start()
@@ -148,7 +156,7 @@ class TestBuildSketch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * s * m
+        assert peak < 4.1 * s * m
 
     def test_sparse_sign_column_structure(self):
         op = build_sketch("sparse-sign", 16, 100, seed=1)
