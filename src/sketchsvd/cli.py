@@ -157,7 +157,7 @@ def _setup(args):
     (``--s``, or else the one that ``(--eps, --delta)`` call for)."""
     A = _matrix(args)
     m, n = A.shape
-    if args.s:
+    if args.s is not None:
         dims = _parse_s_list(args.s, n)
     else:
         spec = EmbeddingSpec(

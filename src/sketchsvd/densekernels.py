@@ -6,6 +6,10 @@ sparse matrices; helpers at the top of the module normalize and validate
 them.  All functions are pure and safe to call concurrently on disjoint data.
 """
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,26 @@ def as_matrix(X):
     if A.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={A.ndim}")
     return A
+
+
+@functools.cache
+def _blas_getter():
+    """``scipy_openblas_get_num_threads64_`` of the OpenBLAS bundled with
+    numpy, or None where numpy links another BLAS.  Looked up on first use,
+    not on import."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
+    for lib in sorted(glob.glob(libs)):
+        getter = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def blas_threads():
+    """Thread count numpy's BLAS reports now, or None if it cannot be read."""
+    getter = _blas_getter()
+    return None if getter is None else getter()
 
 
 def to_dense(X):

@@ -23,12 +23,15 @@ large tables fill their blocks on parallel threads, and since the block
 count is a constant, the table does not depend on how many threads or
 cores there are.  The float32 table is half the memory of float64, and
 the operator applies it in float64: rows are cast to float64 in bounded
-blocks before they multiply the input (sparse input on the draw's blocks
-and threads, dense input on the calling thread, whose BLAS threads its
-own products).  Every certificate here (``empirical_epsilon`` and the
-bounds evaluated at it) measures the stored operator, so it is exact for
-the table as stored; :meth:`SketchOperator.materialize` returns that
-table in float64.
+blocks before they multiply the input.  Sparse input runs on the draw's
+blocks and threads.  Dense input runs on the calling thread, whose BLAS
+threads its own products, unless numpy's BLAS reports one thread
+(:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
+cut into two halves whose bounds depend on ``s`` alone, and the halves are
+cast and multiplied on up to two threads.  Every certificate here
+(``empirical_epsilon`` and the bounds evaluated at it) measures the stored
+operator, so it is exact for the table as stored;
+:meth:`SketchOperator.materialize` returns that table in float64.
 Operators are immutable after construction and safe to share across
 threads.
 """
@@ -42,7 +45,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 
-from .densekernels import as_matrix
+from .densekernels import as_matrix, blas_threads
 from .errors import PreconditionError, ShapeError
 
 KINDS = ("gaussian", "srtt", "sparse-sign")
@@ -65,8 +68,8 @@ _GAUSSIAN_ROWS = 32
 # can be filled on parallel threads.  Changing it changes every table.
 _GAUSSIAN_STREAMS = 8
 
-# Tables with fewer entries are filled, and applied to sparse input, on the
-# calling thread.
+# Tables with fewer entries are filled and applied on the calling thread,
+# and dense input is applied to them in whole stream blocks.
 # Starting a thread pool costs about 1 ms; measured on 2 cores, the pool
 # fills 2**18 entries in 5.7 ms, as one thread does, and 2**19 entries in
 # 9.1 ms against 10.7 ms.
@@ -75,9 +78,10 @@ _PARALLEL_MIN_ENTRIES = 1 << 19
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    """Problem statement for picking a sketch dimension: embed any fixed
-    ``k``-dimensional subspace of R^m with distortion ``epsilon`` and
-    failure probability ``delta``."""
+    """Inputs of the sketch-dimension rule of :func:`sketch_dim`: a target
+    distortion ``epsilon`` and failure probability ``delta`` for a fixed
+    ``k``-dimensional subspace of R^m.  The rule is a heuristic and does
+    not guarantee that target (ROADMAP item 2)."""
 
     epsilon: float
     delta: float
@@ -124,12 +128,17 @@ class CosineAudit:
 
 
 def sketch_dim(spec, c=1.0):
-    """Sketch dimension for ``spec``, clamped to ``[k, m]``.
+    """Heuristic sketch dimension for ``spec``, clamped to ``[k, m]``.
 
     Gaussian operators use ``ceil(eps^-2 * ln(1/delta) * ln(max(k, 2)))``;
     srtt and sparse-sign use ``max(2k, ceil(c * eps^-2 * k))``.  The
     constant ``c`` is exposed because the practical rule for trigonometric
     sketches diverges as delta -> 0; the default c=1 reflects common usage.
+    Neither rule guarantees distortion ``eps`` with probability
+    ``1 - delta``: over a random 50-dimensional subspace of R^5000 at
+    ``eps = 0.5``, every kind measured a distortion above ``eps`` for 20 of
+    20 sketch seeds (ROADMAP item 2).  Measure the distortion with
+    :func:`empirical_epsilon` where a bound must hold.
     """
     if spec.kind == "gaussian":
         target = math.ceil(
@@ -168,28 +177,35 @@ def _stream_blocks(s):
             if r0 < r1]
 
 
-def _on_streams(fn, s, m):
-    """Call ``fn(i, r0, r1, rows)`` for each stream block ``[r0, r1)`` of an
-    (s, m) table; tables of at least ``_PARALLEL_MIN_ENTRIES`` entries run
-    the blocks on a thread pool of up to
-    ``min(_GAUSSIAN_STREAMS, os.cpu_count())`` threads.  ``rows`` is how
-    many float64 rows one call may hold at a time: ``_GAUSSIAN_ROWS``
-    shared among the threads, so that all of them together hold at most
-    ``_GAUSSIAN_ROWS * m`` float64 entries on any core count.  Each block
-    is computed the same way on any thread and in chunks of any height, so
-    the result does not depend on the thread or core count."""
-    blocks = _stream_blocks(s)
-    workers = min(len(blocks), os.cpu_count() or 1)
-    if workers == 1 or s * m < _PARALLEL_MIN_ENTRIES:
-        for block in blocks:
-            fn(*block, _GAUSSIAN_ROWS)
-    else:
-        rows = max(1, _GAUSSIAN_ROWS // workers)
-        # numpy's generators and casts and scipy's sparse products release
-        # the GIL
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(fn, *block, rows) for block in blocks]:
-                future.result()
+def _pool_workers(s, m, most):
+    """Threads for work on an (s, m) table: one below
+    ``_PARALLEL_MIN_ENTRIES`` entries, else up to ``most``, capped by
+    ``os.cpu_count()``."""
+    if s * m < _PARALLEL_MIN_ENTRIES:
+        return 1
+    return min(most, os.cpu_count() or 1)
+
+
+def _on_streams(fn, chunks, workers):
+    """Call ``fn(w, *chunk)`` for each chunk: worker ``w`` of ``workers``
+    runs ``chunks[w::workers]`` in order, on a thread pool when there is
+    more than one worker.  ``w`` lets a call pick scratch that no other
+    worker uses.  Each chunk must be computed the same way by any worker,
+    so that the result does not depend on the thread or core count."""
+    if workers == 1:
+        for chunk in chunks:
+            fn(0, *chunk)
+        return
+
+    def run(w):
+        for chunk in chunks[w::workers]:
+            fn(w, *chunk)
+
+    # numpy's generators, casts and BLAS products and scipy's sparse
+    # products release the GIL
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(run, w) for w in range(workers)]:
+            future.result()
 
 
 def _gaussian_table(s, m, seed):
@@ -201,7 +217,7 @@ def _gaussian_table(s, m, seed):
     table = np.empty((s, m), dtype=np.float32)
     scale = np.float32(math.sqrt(s))
 
-    def fill(i, r0, r1, rows):
+    def fill(_, i, r0, r1):
         # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i];
         # the block is drawn whole in float32, so it holds no float64 rows
         child = np.random.SeedSequence(seed, spawn_key=(i,))
@@ -210,7 +226,8 @@ def _gaussian_table(s, m, seed):
             out=block, dtype=np.float32)
         np.divide(block, scale, out=block)
 
-    _on_streams(fill, s, m)
+    blocks = _stream_blocks(s)
+    _on_streams(fill, blocks, _pool_workers(s, m, len(blocks)))
     return table
 
 
@@ -274,7 +291,10 @@ class SketchOperator:
         on any core count at most ``_GAUSSIAN_ROWS * m`` float64 entries
         for sparse input (shared among the threads) and one of the
         ``_GAUSSIAN_STREAMS`` stream blocks, about s * m / 8 float64
-        entries, for dense input."""
+        entries, for dense input.  When numpy's BLAS runs one thread, dense
+        input is applied as two fixed halves of each stream block on up to
+        two threads, which share that one block of scratch; otherwise as
+        one product per block on the calling thread."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -298,20 +318,41 @@ class SketchOperator:
         m = self.m
         out = np.empty((self.s, X.shape[1]))
         table = self._dense
+        blocks = _stream_blocks(self.s)
         if not sp.issparse(X):
-            # one product per stream block, on the calling thread, so that
-            # BLAS does the threading: it packs X once per call, and smaller
-            # row chunks would repack it for each chunk
-            blocks = _stream_blocks(self.s)
-            buf = np.empty((max(r1 - r0 for _, r0, r1 in blocks), m))
-            for _, r0, r1 in blocks:
-                block = buf[:r1 - r0]
+            if blas_threads() == 1 and self.s * m >= _PARALLEL_MIN_ENTRIES:
+                # BLAS runs one thread: each stream block is cut into two
+                # halves whose bounds depend on s alone, cast and multiplied
+                # on up to two workers; worker w takes every w-th half (the
+                # larger ones first) and the w-th part of the scratch
+                chunks = []
+                for _, r0, r1 in blocks:
+                    mid = r0 + (r1 - r0 + 1) // 2
+                    chunks += [(r0, mid), (mid, r1)]
+                workers = _pool_workers(self.s, m, 2)
+            else:
+                # one product per stream block, on the calling thread, so
+                # that BLAS does the threading: it packs X once per call,
+                # and smaller row chunks would repack it for each chunk
+                chunks = [(r0, r1) for _, r0, r1 in blocks]
+                workers = 1
+            # float64 scratch for one stream block, allocated here so that
+            # the workers share it
+            height = max(r1 - r0 for _, r0, r1 in blocks)
+            buf = np.empty((height, m))
+
+            def product(w, r0, r1):
+                block = buf[w * ((height + 1) // 2):][:r1 - r0]
                 np.copyto(block, table[r0:r1])
                 np.matmul(block, X, out=out[r0:r1])
+
+            _on_streams(product, chunks, workers)
             return out
         Xt = X.T.tocsr()
+        workers = _pool_workers(self.s, m, len(blocks))
+        rows = max(1, _GAUSSIAN_ROWS // workers)
 
-        def block(i, r0, r1, rows):
+        def block(_, i, r0, r1):
             # one float64 buffer per stream block, reused by its row chunks:
             # C-order (m, rows), which scipy uses without a copy
             buf = np.empty(min(rows, r1 - r0) * m)
@@ -321,7 +362,7 @@ class SketchOperator:
                 np.copyto(chunk, table[c0:c1].T)
                 out[c0:c1] = (Xt @ chunk).T
 
-        _on_streams(block, self.s, m)
+        _on_streams(block, blocks, workers)
         return out
 
     def _apply_srtt(self, X):

@@ -194,13 +194,13 @@ def sts_svd_via_qr(A, op, rtol=None):
 
     More robust on nearly dependent columns it can still orthonormalize.
     It densifies A and applies the operator twice, so it costs about twice
-    the direct route: 0.095 s against 0.043 s on dense 10000x50 with a
-    gaussian ``s = 800``, BLAS on one thread.  Requires A of full column
-    rank (rank deficiency raises from :func:`sketched_qr`).  An explicit
-    ``rtol`` below :func:`sketched_qr`'s default of 1e-12 is also its column
-    threshold, so a small enough ``rtol`` lets a nearly dependent column
-    through; a larger one leaves the QR at its default and only truncates,
-    as in :func:`sts_svd`.
+    the direct route: 0.060-0.068 s against 0.028-0.032 s on dense
+    10000x50 with a gaussian ``s = 800``, BLAS on one thread, 2 cores.
+    Requires A of full column rank (rank deficiency raises from
+    :func:`sketched_qr`).  An explicit ``rtol`` below :func:`sketched_qr`'s
+    default of 1e-12 is also its column threshold, so a small enough
+    ``rtol`` lets a nearly dependent column through; a larger one leaves
+    the QR at its default and only truncates, as in :func:`sts_svd`.
     """
     A = as_matrix(A)
     n = A.shape[1]

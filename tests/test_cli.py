@@ -99,9 +99,12 @@ def test_randn_needs_positive_dimensions(src):
         cli._load_matrix(src, 0)
 
 
-@pytest.mark.parametrize("bad", ["abc", "4x", "infn"])
-def test_bad_s_token_names_the_flag(capsys, bad):
-    rc = run(["ortho", "--matrix", "randn:50,5", "--s", f"10,{bad}", "--reps", 1])
+@pytest.mark.parametrize("value, bad", [("10,abc", "abc"), ("10,4x", "4x"),
+                                        ("10,infn", "infn"), ("", "")],
+                         ids=["abc", "4x", "infn", "empty"])
+def test_bad_s_token_names_the_flag(capsys, value, bad):
+    # an empty --s is an error too, not a fall back to (--eps, --delta)
+    rc = run(["ortho", "--matrix", "randn:50,5", "--s", value, "--reps", 1])
     assert rc == 2
     assert f"--s takes a comma list of integers or Kn multiples, got '{bad}'" in (
         capsys.readouterr().err)

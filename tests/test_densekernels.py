@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,3 +271,18 @@ class TestRangeBasis:
         B = rng.standard_normal((20, 3))
         U = range_basis(A, B)
         assert U.shape == (20, 5)
+
+
+def test_blas_threads_reads_the_pinned_count():
+    # in a fresh interpreter: the getter is not looked up on import, and
+    # reads the count OPENBLAS_NUM_THREADS set
+    if densekernels.blas_threads() is None:
+        pytest.skip("numpy's BLAS does not report its thread count")
+    code = ("from sketchsvd import densekernels as d; "
+            "print(d._blas_getter.cache_info().currsize, d.blas_threads())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]

@@ -129,7 +129,11 @@ class TestBuildSketch:
             tables.append(build_sketch("gaussian", s, m, seed=5).materialize())
         assert np.array_equal(tables[0], tables[1])
 
-    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch):
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch, blas):
+        # at one BLAS thread dense input runs on the pool, else on the
+        # calling thread
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
         X = np.random.default_rng(27).standard_normal((m, 5))
         Xs = sp.random_array((m, 6), density=0.01, rng=28, format="csr")
@@ -255,9 +259,11 @@ class TestApply:
         # _GAUSSIAN_ROWS float64 rows are 1 byte per entry here
         assert peak < 2 * s * m
 
-    def test_gaussian_dense_apply_memory(self, monkeypatch):
-        # dense input is cast one stream block (s / 8 rows) at a time, on
-        # any core count
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
+        # dense input is cast into one stream block (s / 8 rows) of scratch,
+        # shared by the pool's workers, on any core count
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
         s, m = 256, 4096
         op = build_sketch("gaussian", s, m, seed=30)
@@ -269,6 +275,47 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < 2 * s * m
+
+    @staticmethod
+    def _row_products(op, X, bounds):
+        S = op.materialize()
+        return np.vstack([S[r0:r1] @ X for r0, r1 in bounds])
+
+    @pytest.mark.parametrize("cols", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("s", [9, 99])
+    def test_gaussian_dense_halves_on_one_blas_thread(self, monkeypatch, s, cols):
+        # each stream block is applied as two halves, the larger first (at
+        # s = 9 most second halves are empty)
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: 1)
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        m = _PARALLEL_MIN_ENTRIES // s + 1
+        shape = (m,) if cols is None else (m, cols)
+        X = np.random.default_rng(32).standard_normal(shape)
+        op = build_sketch("gaussian", s, m, seed=33)
+        bounds = np.linspace(0, s, 9).astype(int)
+        halves = []
+        for r0, r1 in zip(bounds, bounds[1:]):
+            mid = r0 + (r1 - r0 + 1) // 2
+            halves += [(r0, mid), (mid, r1)]
+        out = op.apply(X)
+        expected = self._row_products(op, X.reshape(m, -1), halves)
+        assert np.array_equal(out.reshape(s, -1), expected)
+        reference = op.materialize() @ X
+        assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    def test_gaussian_dense_whole_blocks_when_blas_threads_unknown(self, monkeypatch):
+        # one product per stream block, and no thread pool
+        def no_pool(*args):  # pragma: no cover
+            raise AssertionError("dense input went to a thread pool")
+
+        s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
+        X = np.random.default_rng(34).standard_normal((m, 5))
+        op = build_sketch("gaussian", s, m, seed=35)
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: None)
+        monkeypatch.setattr(sketchops, "ThreadPoolExecutor", no_pool)
+        bounds = np.linspace(0, s, 9).astype(int)
+        expected = self._row_products(op, X, zip(bounds, bounds[1:]))
+        assert np.array_equal(op.apply(X), expected)
 
     def test_srtt_sparse_crosses_column_blocks(self):
         # more columns than the internal densification block
