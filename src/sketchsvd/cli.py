@@ -33,11 +33,11 @@ Conventions
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about 60 s
-  on a busy machine (its load varies from run to run) and 0.25 GB peak
-  memory (one 2000 x 20000 float32 gaussian table at a time), dominated by
-  building the gaussian operators.  Full-scale presets are gated behind
-  ``--xl``.
+  ``spectrum`` about 1 s and ``nearest`` about 4 s; ``ortho`` about 55 s
+  (the machine's load varies from run to run) and a 101 MB peak: each
+  gaussian operator streams its rows through its one sparse apply and
+  never holds its table.  Drawing those rows dominates ``ortho``'s time.
+  Full-scale presets are gated behind ``--xl``.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4
   asserted bounds violated (only with ``--strict``).

@@ -13,31 +13,38 @@ Three operator families are supported, identified by their ``kind`` tag:
 * ``"sparse-sign"``  -- per input coordinate, ``zeta = min(8, s)`` distinct
   output rows receive ``+-1/sqrt(zeta)``.
 
-All randomness is drawn at construction time, so equal
-``(kind, s, m, seed)`` tuples reproduce bitwise-identical operators.  The
-srtt and sparse-sign factors come from one ``numpy`` PCG64 generator seeded
-with the operator's 64-bit ``seed``.  A gaussian table is cut into 8 fixed
-row blocks, and block ``i`` holds float32 normals drawn from an SFC64
-generator seeded with child ``i`` of ``numpy.random.SeedSequence(seed)``;
-large tables fill their blocks on parallel threads, and since the block
-count is a constant, the table does not depend on how many threads or
-cores there are.  The float32 table is half the memory of float64, and
-the operator applies it in float64: rows are cast to float64 in bounded
-blocks before they multiply the input.  Sparse input runs on the draw's
-blocks and threads.  Dense input runs on the calling thread, whose BLAS
-threads its own products, unless numpy's BLAS reports one thread
+Equal ``(kind, s, m, seed)`` tuples reproduce bitwise-identical
+operators.  The srtt and sparse-sign factors are drawn at construction
+from one ``numpy`` PCG64 generator seeded with the operator's 64-bit
+``seed``.  A gaussian table is cut into 8 fixed row blocks, and block
+``i`` holds float32 normals drawn from an SFC64 generator seeded with
+child ``i`` of ``numpy.random.SeedSequence(seed)``, divided in float32 by
+``sqrt(s)``; large tables fill their blocks on parallel threads, and since
+the block count is a constant, the table does not depend on how many
+threads or cores there are.  A gaussian operator draws nothing at
+construction.  Its first dense apply (or :meth:`SketchOperator.materialize`)
+draws the whole float32 table, half the memory of float64, and keeps it.
+An apply to sparse input uses the table if it is held; otherwise each
+block's rows are drawn a few at a time from the block's stream, applied
+and dropped, so an operator applied only to sparse input never holds its
+table (and draws its rows again on each such apply).  Either way the
+arithmetic is float64: rows are cast to float64 in bounded blocks before
+they multiply the input.  Sparse input runs on the draw's blocks and
+threads.  Dense input runs on the calling thread, whose BLAS threads its
+own products, unless numpy's BLAS reports one thread
 (:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
 cut into two halves whose bounds depend on ``s`` alone, and the halves are
 cast and multiplied on up to two threads.  Every certificate here
-(``empirical_epsilon`` and the bounds evaluated at it) measures the stored
-operator, so it is exact for the table as stored;
+(``empirical_epsilon`` and the bounds evaluated at it) measures the
+operator's table, so it is exact for the table as drawn;
 :meth:`SketchOperator.materialize` returns that table in float64.
-Operators are immutable after construction and safe to share across
-threads.
+Operators are immutable apart from the held table, which is drawn once
+under a lock, and safe to share across threads.
 """
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,9 +64,10 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 # in bounded batches).
 _SRTT_BLOCK = 64
 
-# Float64 rows held at once, shared among the threads, while a gaussian
-# table is applied to sparse input: each of w threads casts chunks of
-# _GAUSSIAN_ROWS // w rows, so this memory does not grow with the core
+# Rows held at once, shared among the threads, while a gaussian operator
+# is applied to sparse input: each of w threads casts chunks of
+# _GAUSSIAN_ROWS // w rows to float64 (and, with no table held, draws
+# them first into float32), so this memory does not grow with the core
 # count.
 _GAUSSIAN_ROWS = 32
 
@@ -208,23 +216,32 @@ def _on_streams(fn, chunks, workers):
             future.result()
 
 
+def _stream(seed, i):
+    """SFC64 generator of stream block ``i`` of a gaussian table, seeded
+    with child ``i`` of ``SeedSequence(seed)``."""
+    # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i]
+    child = np.random.SeedSequence(seed, spawn_key=(i,))
+    return np.random.Generator(np.random.SFC64(child))
+
+
+def _draw(gen, rows, scale):
+    """Fill the float32 array ``rows`` with the next standard normals of
+    ``gen``, divided in float32 by ``scale``.  Consecutive calls continue
+    the stream, so a block drawn in pieces equals the block drawn whole."""
+    gen.standard_normal(out=rows, dtype=np.float32)
+    np.divide(rows, scale, out=rows)
+
+
 def _gaussian_table(s, m, seed):
     """(s, m) float32 table of i.i.d. N(0, 1/s) entries: float32 standard
     normals divided in float32 by ``sqrt(s)``, drawn as
     ``_GAUSSIAN_STREAMS`` row blocks straight into the table, block ``i``
-    from an SFC64 generator seeded with child ``i`` of
-    ``SeedSequence(seed)``."""
+    from :func:`_stream` ``(seed, i)``."""
     table = np.empty((s, m), dtype=np.float32)
     scale = np.float32(math.sqrt(s))
 
     def fill(_, i, r0, r1):
-        # the same child as SeedSequence(seed).spawn(_GAUSSIAN_STREAMS)[i];
-        # the block is drawn whole in float32, so it holds no float64 rows
-        child = np.random.SeedSequence(seed, spawn_key=(i,))
-        block = table[r0:r1]
-        np.random.Generator(np.random.SFC64(child)).standard_normal(
-            out=block, dtype=np.float32)
-        np.divide(block, scale, out=block)
+        _draw(_stream(seed, i), table[r0:r1], scale)
 
     blocks = _stream_blocks(s)
     _on_streams(fill, blocks, _pool_workers(s, m, len(blocks)))
@@ -245,8 +262,9 @@ class SketchOperator:
     """A realized random linear map ``S: R^m -> R^s``.
 
     Build through :func:`build_sketch`.  The operator keeps only its
-    kind-specific factors (dense table, sign/sample vectors, or sparse
-    matrix); :meth:`apply` computes ``S @ X`` with the fast path for the
+    kind-specific factors (sign/sample vectors, sparse matrix, or the
+    gaussian table once a dense apply or :meth:`materialize` has drawn
+    it); :meth:`apply` computes ``S @ X`` with the fast path for the
     kind, and :meth:`materialize` returns the dense float64 ``(s, m)``
     matrix (for srtt, built from the explicit cosine matrix of
     :func:`dct2_matrix`; for gaussian, the float32 table cast exactly).
@@ -262,7 +280,8 @@ class SketchOperator:
         self.m = int(m)
         self.seed = int(seed)
         if kind == "gaussian":
-            self._dense = _gaussian_table(self.s, self.m, self.seed)
+            self._dense = None
+            self._lock = threading.Lock()
         elif kind == "srtt":
             rng = np.random.default_rng(self.seed)
             self._signs = rng.integers(0, 2, size=self.m) * 2.0 - 1.0
@@ -280,6 +299,14 @@ class SketchOperator:
             )
             self.zeta = zeta
 
+    def _table(self):
+        """The gaussian float32 table: drawn on the first call, under the
+        lock so that concurrent callers draw it once, then held."""
+        with self._lock:
+            if self._dense is None:
+                self._dense = _gaussian_table(self.s, self.m, self.seed)
+            return self._dense
+
     def __repr__(self):
         return f"SketchOperator(kind={self.kind!r}, s={self.s}, m={self.m}, seed={self.seed})"
 
@@ -287,14 +314,16 @@ class SketchOperator:
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
         and sparse-sign kinds.  The gaussian kind casts its float32 table
-        back to float64 in row blocks, so that beyond the output it holds
-        on any core count at most ``_GAUSSIAN_ROWS * m`` float64 entries
-        for sparse input (shared among the threads) and one of the
-        ``_GAUSSIAN_STREAMS`` stream blocks, about s * m / 8 float64
-        entries, for dense input.  When numpy's BLAS runs one thread, dense
-        input is applied as two fixed halves of each stream block on up to
-        two threads, which share that one block of scratch; otherwise as
-        one product per block on the calling thread."""
+        back to float64 in row blocks, so that beyond the output (and the
+        table, which dense input draws and keeps) it holds on any core
+        count at most ``_GAUSSIAN_ROWS * m`` float64 entries for sparse
+        input, plus as many float32 entries while no table is held
+        (shared among the threads), and one of the ``_GAUSSIAN_STREAMS``
+        stream blocks, about s * m / 8 float64 entries, for dense input.
+        When numpy's BLAS runs one thread, dense input is applied as two
+        fixed halves of each stream block on up to two threads, which
+        share that one block of scratch; otherwise as one product per
+        block on the calling thread."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -317,9 +346,9 @@ class SketchOperator:
     def _apply_gaussian(self, X):
         m = self.m
         out = np.empty((self.s, X.shape[1]))
-        table = self._dense
         blocks = _stream_blocks(self.s)
         if not sp.issparse(X):
+            table = self._table()
             if blas_threads() == 1 and self.s * m >= _PARALLEL_MIN_ENTRIES:
                 # BLAS runs one thread: each stream block is cut into two
                 # halves whose bounds depend on s alone, cast and multiplied
@@ -351,15 +380,27 @@ class SketchOperator:
         Xt = X.T.tocsr()
         workers = _pool_workers(self.s, m, len(blocks))
         rows = max(1, _GAUSSIAN_ROWS // workers)
+        table = self._dense
+        scale = np.float32(math.sqrt(self.s))
 
         def block(_, i, r0, r1):
             # one float64 buffer per stream block, reused by its row chunks:
             # C-order (m, rows), which scipy uses without a copy
-            buf = np.empty(min(rows, r1 - r0) * m)
+            height = min(rows, r1 - r0)
+            buf = np.empty(height * m)
+            if table is None:
+                # no table held: the block's rows come from its own stream
+                gen = _stream(self.seed, i)
+                drawn = np.empty((height, m), dtype=np.float32)
             for c0 in range(r0, r1, rows):
                 c1 = min(c0 + rows, r1)
+                if table is None:
+                    piece = drawn[:c1 - c0]
+                    _draw(gen, piece, scale)
+                else:
+                    piece = table[c0:c1]
                 chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
-                np.copyto(chunk, table[c0:c1].T)
+                np.copyto(chunk, piece.T)
                 out[c0:c1] = (Xt @ chunk).T
 
         _on_streams(block, blocks, workers)
@@ -381,7 +422,7 @@ class SketchOperator:
     def materialize(self):
         """Dense (s, m) matrix of the operator; intended for small m."""
         if self.kind == "gaussian":
-            return self._dense.astype(np.float64)
+            return self._table().astype(np.float64)
         if self.kind == "sparse-sign":
             return self._sparse.toarray()
         F = dct2_matrix(self.m)

@@ -16,8 +16,8 @@ Jacobi sweeps, so no QR runs in front of it), then recovers
 ``W = A @ V_r @ diag(theta_r)^-1``; A is touched once for the sketch and
 once for the back-product, and sparse input is never densified.  The QR
 route takes a sketch-orthonormal basis ``Q`` from :func:`sketched_qr` (two
-block applies of S and two in-place triangular solves on a dense copy of
-A) and the SVD of its triangular factor.
+block applies of S and two in-place triangular solves, all on a dense copy
+of A) and the SVD of its triangular factor.
 """
 
 import warnings
@@ -141,14 +141,14 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
     Two-pass sketch-preconditioned QR, the randomized Cholesky QR of
     Balabanov ("Randomized Cholesky QR factorizations", arXiv:2210.09953):
     ``R1`` is the R factor of ``S A``, ``Q1 = A R1^-1``, ``R2`` is the R
-    factor of ``S Q1``, and ``Q = Q1 R2^-1``, ``R = R2 R1``.  The operator
-    is applied twice, each time to a block of n columns, and both
-    triangular solves overwrite one m x n float64 array in place.  The
-    second pass restores the sketch orthonormality lost to rounding in the
-    first, as reorthogonalization does in column-by-column randomized
-    Gram-Schmidt (Balabanov & Grigori, arXiv:2111.14641).  Returns
-    ``(Q, R)`` with ``(SQ)^T (SQ) = I`` (to roundoff), ``A = Q R`` and
-    ``diag(R) > 0``.
+    factor of ``S Q1``, and ``Q = Q1 R2^-1``, ``R = R2 R1``.  A is copied
+    once into an m x n float64 array; the operator is applied twice to it,
+    each time to a block of n columns, and both triangular solves
+    overwrite it in place.  The second pass restores the sketch
+    orthonormality lost to rounding in the first, as reorthogonalization
+    does in column-by-column randomized Gram-Schmidt (Balabanov & Grigori,
+    arXiv:2111.14641).  Returns ``(Q, R)`` with ``(SQ)^T (SQ) = I`` (to
+    roundoff), ``A = Q R`` and ``diag(R) > 0``.
 
     Raises
     ------
@@ -167,10 +167,13 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
         raise ShapeError(f"operator acts on {op.m} rows, A has {m}")
     if op.s < n:
         raise ShapeError(f"sketched_qr needs s >= n, got s={op.s}, n={n}")
-    SA = op.apply(A)
+    Q = A.toarray(order="F") if sp.issparse(A) else np.array(A, order="F")
+    # S is applied to the dense copy, so that sparse A takes the dense
+    # path too: a fresh gaussian operator then draws its table once, for
+    # both applies, instead of streaming its rows for sparse A first
+    SA = op.apply(Q)
     check_finite(SA, "sketched matrix")
     R1 = householder_qr(SA)
-    Q = A.toarray(order="F") if sp.issparse(A) else np.array(A, order="F")
     resid = np.diag(R1)
     dependent = np.flatnonzero(resid <= rtol * np.linalg.norm(Q, axis=0))
     if dependent.size:
@@ -195,7 +198,10 @@ def sts_svd_via_qr(A, op, rtol=None):
     More robust on nearly dependent columns it can still orthonormalize.
     It densifies A and applies the operator twice, so it costs about twice
     the direct route: 0.060-0.068 s against 0.028-0.032 s on dense
-    10000x50 with a gaussian ``s = 800``, BLAS on one thread, 2 cores.
+    10000x50 with a gaussian ``s = 800``, BLAS on one thread, 2 cores, on
+    an operator whose table is already drawn.  A fresh gaussian operator
+    draws its table in its first apply, which adds about 0.07 s at that
+    size to whichever route runs first.
     Requires A of full column rank (rank deficiency raises from
     :func:`sketched_qr`).  An explicit ``rtol`` below :func:`sketched_qr`'s
     default of 1e-12 is also its column threshold, so a small enough

@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from sketchsvd import (
     pairwise_cosine_audit,
     sketch_dim,
     sketched_qr,
+    sts_svd,
 )
 from sketchsvd import sketchops
 from sketchsvd.sketchops import (
@@ -156,7 +161,7 @@ class TestBuildSketch:
         s, m = 512, 4096
         tracemalloc.start()
         try:
-            build_sketch("gaussian", s, m, seed=29)
+            sketchops._gaussian_table(s, m, 29)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,13 +226,23 @@ class TestApply:
         for kind in ("gaussian", "sparse-sign"):
             build_sketch(kind, 20, 100, seed=1).apply(X)
 
+    @pytest.mark.parametrize("cores", [1, 4])
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
-    def test_gaussian_sparse_row_blocks_bitwise(self, fmt):
-        # row blocks of the table give the same bits as one sparse product
+    def test_gaussian_sparse_row_blocks_bitwise(self, monkeypatch, fmt, cores):
+        # row chunks, drawn from the streams with no table held or cut from
+        # the held table, give the same bits as one sparse product; the
+        # stream blocks of 65-66 rows are no multiple of the 32 (one
+        # worker) or 8 (four workers) rows of a chunk
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+        s = 16 * _GAUSSIAN_ROWS + 11
+        m = _PARALLEL_MIN_ENTRIES // s + 1
         rng = np.random.default_rng(23)
-        X = sp.random_array((300, 7), density=0.05, rng=rng, format=fmt)
-        op = build_sketch("gaussian", 2 * _GAUSSIAN_ROWS + 1, 300, seed=24)
+        X = sp.random_array((m, 7), density=0.05, rng=rng, format=fmt)
+        op = build_sketch("gaussian", s, m, seed=24)
+        streamed = op.apply(X)
+        assert op._dense is None
         expected = (X.T @ op.materialize().T).T
+        assert np.array_equal(streamed, expected)
         assert np.array_equal(op.apply(X), expected)
 
     def test_gaussian_sparse_apply_memory(self):
@@ -243,20 +258,26 @@ class TestApply:
             tracemalloc.stop()
         assert peak < table_bytes / 2
 
-    def test_gaussian_sparse_apply_memory_on_many_cores(self, monkeypatch):
-        # the threads share one float64 chunk budget, so more cores do not
-        # add up to a float64 copy of the table
-        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
-        s, m = 256, 10_000
-        op = build_sketch("gaussian", s, m, seed=25)
-        X = sp.random_array((m, 20), density=0.01, rng=26, format="csr")
+    @pytest.mark.parametrize("route", ["apply", "sts_svd"])
+    @pytest.mark.parametrize("cores", [2, 8])
+    def test_gaussian_sparse_memory_without_table(self, monkeypatch, cores, route):
+        # an operator built and applied once to sparse input, alone or in
+        # sts_svd as the CLI's ortho runs it, never holds its table: the
+        # threads share one budget of float32 and float64 rows, so more
+        # cores do not add up to a copy of the table
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+        s, m = 512, 10_000
+        X = sp.random_array((m, 5), density=0.01, rng=26, format="csr")
         tracemalloc.start()
         try:
-            op.apply(X)
+            op = build_sketch("gaussian", s, m, seed=25)
+            op.apply(X) if route == "apply" else sts_svd(X, op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # _GAUSSIAN_ROWS float64 rows are 1 byte per entry here
+        assert op._dense is None
+        # half the float32 table; _GAUSSIAN_ROWS rows of float32 and float64
+        # scratch are under 0.8 bytes per entry here
         assert peak < 2 * s * m
 
     @pytest.mark.parametrize("blas", [1, 2])
@@ -267,6 +288,7 @@ class TestApply:
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
         s, m = 256, 4096
         op = build_sketch("gaussian", s, m, seed=30)
+        op._table()
         X = np.random.default_rng(31).standard_normal((m, 3))
         tracemalloc.start()
         try:
@@ -311,11 +333,46 @@ class TestApply:
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
         X = np.random.default_rng(34).standard_normal((m, 5))
         op = build_sketch("gaussian", s, m, seed=35)
+        op._table()
         monkeypatch.setattr(sketchops, "blas_threads", lambda: None)
         monkeypatch.setattr(sketchops, "ThreadPoolExecutor", no_pool)
         bounds = np.linspace(0, s, 9).astype(int)
         expected = self._row_products(op, X, zip(bounds, bounds[1:]))
         assert np.array_equal(op.apply(X), expected)
+
+    def test_gaussian_table_drawn_once_under_concurrent_applies(self, monkeypatch):
+        # threads that apply one fresh operator to dense input at once all
+        # see one table; the slowed draw widens the window a lost check
+        # would need
+        calls = []
+        draw = sketchops._gaussian_table
+
+        def counted(*args):
+            calls.append(args)
+            time.sleep(0.05)
+            return draw(*args)
+
+        monkeypatch.setattr(sketchops, "_gaussian_table", counted)
+        s, m, threads = 40, 2000, 4
+        op = build_sketch("gaussian", s, m, seed=36)
+        X = np.random.default_rng(37).standard_normal((m, 3))
+        start = threading.Barrier(threads)
+
+        def apply():
+            start.wait(timeout=10)
+            return op.apply(X)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(apply) for _ in range(threads)]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        for out in results[1:]:
+            assert np.array_equal(out, results[0])
 
     def test_srtt_sparse_crosses_column_blocks(self):
         # more columns than the internal densification block
