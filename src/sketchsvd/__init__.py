@@ -41,13 +41,11 @@ from .nearest import (
     sts_polar_of_orthonormal,
 )
 from .sketchops import (
-    CosineAudit,
     EmbeddingCertificate,
     EmbeddingSpec,
     SketchOperator,
     build_sketch,
     empirical_epsilon,
-    pairwise_cosine_audit,
     sketch_dim,
 )
 from .stssvd import (
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CosineAudit",
     "EmbeddingCertificate",
     "EmbeddingSpec",
     "GenerationError",
@@ -97,7 +94,6 @@ __all__ = [
     "nearest_sts_orthogonal",
     "numerical_rank",
     "orthogonality_report",
-    "pairwise_cosine_audit",
     "polar_factors",
     "range_basis",
     "read_matrix_market",

@@ -125,16 +125,6 @@ class EmbeddingCertificate:
     sigma_max_sketched: float
 
 
-@dataclass(frozen=True)
-class CosineAudit:
-    """Worst pairwise column angle of a sketch-orthonormal matrix, with the
-    distortion-based bound it is checked against."""
-
-    max_abs_cosine: float
-    epsilon_emp: float
-    within_bound: bool
-
-
 def sketch_dim(spec, c=1.0):
     """Heuristic sketch dimension for ``spec``, clamped to ``[k, m]``.
 
@@ -467,34 +457,3 @@ def empirical_epsilon(op, U):
         sigma_max_sketched=smax,
     )
 
-
-def pairwise_cosine_audit(op, P):
-    """Largest pairwise column cosine of a sketch-orthonormal ``P``.
-
-    Requires nonzero columns and ``(SP)^T (SP) = I`` within 1e-8.  The
-    returned flag checks the cosine against ``epsilon_emp`` measured over
-    ``Range(P)``, which contains every normalized column pair sum and
-    difference, so the bound is deterministic up to a slack of 1e-7.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    norms = np.linalg.norm(P, axis=0)
-    if (norms == 0).any():
-        raise PreconditionError("pairwise_cosine_audit: zero column in input")
-    n = P.shape[1]
-    SP = op.apply(P)
-    defect = np.linalg.norm(SP.T @ SP - np.eye(n), 2)
-    if defect > 1e-8:
-        raise PreconditionError(
-            f"columns are not sketch-orthonormal: ||(SP)^T SP - I||_2 = {defect:.3e}"
-        )
-    N = P / norms
-    C = np.abs(N.T @ N)
-    np.fill_diagonal(C, 0.0)
-    max_cos = float(C.max()) if n > 1 else 0.0
-    basis, _ = np.linalg.qr(P)
-    cert = empirical_epsilon(op, basis)
-    return CosineAudit(
-        max_abs_cosine=max_cos,
-        epsilon_emp=cert.epsilon_emp,
-        within_bound=max_cos <= cert.epsilon_emp + 1e-7,
-    )

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sketchsvd import (
-    GenerationError, SketchRankWarning, cli, read_matrix_market, write_matrix_market
+    GenerationError, SketchRankWarning, cli, read_matrix_market, sketchops,
+    write_matrix_market,
 )
 from sketchsvd.cli import main
 
@@ -333,6 +334,37 @@ class TestNearest:
         assert rc == 0
         row = out.read_text().splitlines()[2].split(",")
         assert float(row[1]) <= 1.5  # dist(A, P) small for orthogonal input
+
+    def test_meta_counts_at_measured_distortion(self, tmp_path):
+        out = tmp_path / "near.csv"
+        rc = run(["nearest", "--matrix", "randn:200,10", "--sketch", "gaussian",
+                  "--s", "2n,5n", "--reps", 3, "--seed", 2, "--out", out, "--raw"])
+        assert rc == 0
+        meta = json.loads((tmp_path / "near.csv.jsonl").read_text().splitlines()[0])
+        lines = (tmp_path / "near.csv.raw.csv").read_text().splitlines()
+        eps = [float(l.split(",")[5]) for l in lines[1:]]
+        assert meta["uncertified"] == sum(e >= 1.0 for e in eps)
+        assert 0 < meta["uncertified"] < len(eps)
+        assert meta["sandwich_failures_emp"] == 0
+        comment = out.read_text().splitlines()[0]
+        assert comment.endswith(f"sandwich_failures_emp=0 uncertified={meta['uncertified']}")
+
+    def test_sparse_gaussian_draws_no_table(self, monkeypatch, tmp_path):
+        # The certificate comes from n x n factors, so the one sparse apply
+        # per repetition streams its rows and no dense apply draws a table.
+        drawn = []
+        table = sketchops._gaussian_table
+
+        def counting_table(*args):
+            drawn.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(sketchops, "_gaussian_table", counting_table)
+        rc = run(["nearest", "--matrix", "sprand:2000,20,0.05,1e10", "--sketch",
+                  "gaussian", "--s", "8n,16n", "--reps", 2, "--seed", 3,
+                  "--out", tmp_path / "near.csv"])
+        assert rc == 0
+        assert drawn == []
 
     def test_rank_loss_is_input_error(self, capsys):
         # s = 10 below n = 20: the sketch cannot keep full column rank

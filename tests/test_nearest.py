@@ -21,7 +21,8 @@ from sketchsvd import (
     sts_polar_of_orthonormal,
     sts_svd,
 )
-from sketchsvd.nearest import loss_bounds
+from sketchsvd.densekernels import to_dense
+from sketchsvd.nearest import _SandwichTerms, loss_bounds
 from sketchsvd.sketchops import KINDS
 
 
@@ -318,6 +319,67 @@ class TestNearestSandwich:
         assert union.subspace_dim == n
         result = nearest_sandwich_report(A, op)
         assert result.epsilon_emp == pytest.approx(union.epsilon_emp, abs=1e-12)
+
+
+def _explicit_terms(A, op, T, P):
+    """The sandwich's terms from the m x n matrices and an apply of S."""
+    Ad = to_dense(A)
+    return (spectral_norm(Ad - T), spectral_norm(Ad - P), spectral_norm(P - T),
+            empirical_epsilon(op, T).epsilon_emp)
+
+
+def _factored_terms(terms, op, pair):
+    return (terms.dist_AT, *terms.distances(pair),
+            terms.certificate(op, pair).epsilon_emp)
+
+
+class TestSandwichTerms:
+    m, n = 2000, 50
+
+    def _matrix(self, sparse, kappa):
+        if sparse:
+            return gen_sparse_conditioned(self.m, self.n, 0.05, kappa, seed=1)
+        rng = np.random.default_rng(2)
+        return rng.standard_normal((self.m, self.n)) * np.logspace(
+            0, -np.log10(kappa), self.n)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e10])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_factored_route_matches_explicit(self, kind, sparse, kappa):
+        # Column-graded input keeps kappa(A D) small at any kappa(A).
+        A = self._matrix(sparse, kappa)
+        T = nearest_orthogonal(A).P
+        terms = _SandwichTerms(A, T)
+        assert terms.factored
+        for seed in range(2):
+            op = build_sketch(kind, 8 * self.n, self.m, seed=seed)
+            pair = nearest_sts_orthogonal(A, op)
+            got = _factored_terms(terms, op, pair)
+            want = _explicit_terms(A, op, T, pair.P)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rotated_ill_conditioned_takes_explicit_route(self, kind):
+        rng = np.random.default_rng(3)
+        U = rand_orthonormal(rng, self.m, self.n)
+        A = (U * np.logspace(0, -8, self.n)) @ rand_orthonormal(rng, self.n, self.n).T
+        T = nearest_orthogonal(A).P
+        terms = _SandwichTerms(A, T)
+        assert not terms.factored
+        op = build_sketch(kind, 8 * self.n, self.m, seed=4)
+        pair = nearest_sts_orthogonal(A, op)
+        assert _factored_terms(terms, op, pair) == _explicit_terms(A, op, T, pair.P)
+
+    def test_certificate_fields(self):
+        A = self._matrix(False, 1.0)
+        T = nearest_orthogonal(A).P
+        op = build_sketch("srtt", 4 * self.n, self.m, seed=5)
+        got = _SandwichTerms(A, T).certificate(op, nearest_sts_orthogonal(A, op))
+        want = empirical_epsilon(op, T)
+        assert got.subspace_dim == want.subspace_dim == self.n
+        assert got.sigma_min_sketched == pytest.approx(want.sigma_min_sketched, rel=1e-12)
+        assert got.sigma_max_sketched == pytest.approx(want.sigma_max_sketched, rel=1e-12)
 
 
 class TestLossBounds:

@@ -18,9 +18,7 @@ from sketchsvd import (
     ShapeError,
     build_sketch,
     empirical_epsilon,
-    pairwise_cosine_audit,
     sketch_dim,
-    sketched_qr,
     sts_svd,
 )
 from sketchsvd import sketchops
@@ -518,39 +516,3 @@ class TestEmpiricalEpsilon:
             sq = np.sum(op.apply(v) ** 2)
             assert 1.0 - cert.epsilon_emp - 1e-10 <= sq <= 1.0 + cert.epsilon_emp + 1e-10
 
-
-class TestPairwiseCosineAudit:
-    def test_full_sample_orthonormal(self):
-        m, n = 40, 6
-        op = build_sketch("srtt", m, m, seed=1)
-        A = np.random.default_rng(2).standard_normal((m, n))
-        P, _ = sketched_qr(A, op)
-        audit = pairwise_cosine_audit(op, P)
-        assert audit.max_abs_cosine <= 1e-10
-        assert audit.within_bound
-
-    def test_sketch_orthonormal_columns(self):
-        m, n = 500, 10
-        op = build_sketch("gaussian", 60, m, seed=2)
-        A = np.random.default_rng(3).standard_normal((m, n))
-        P, _ = sketched_qr(A, op)
-        audit = pairwise_cosine_audit(op, P)
-        # oracle: direct angle computation
-        N = P / np.linalg.norm(P, axis=0)
-        C = np.abs(N.T @ N) - np.eye(n)
-        assert audit.max_abs_cosine == pytest.approx(C.max(), abs=1e-14)
-        assert audit.within_bound
-
-    def test_duplicate_columns_rejected(self):
-        m = 50
-        op = build_sketch("gaussian", 20, m, seed=4)
-        a = np.random.default_rng(5).standard_normal(m)
-        with pytest.raises(PreconditionError):
-            pairwise_cosine_audit(op, np.column_stack([a, a]))
-
-    def test_zero_column_rejected(self):
-        op = build_sketch("gaussian", 20, 50, seed=6)
-        P = np.zeros((50, 2))
-        P[0, 0] = 1.0
-        with pytest.raises(PreconditionError, match="zero column"):
-            pairwise_cosine_audit(op, P)
