@@ -336,8 +336,8 @@ def cmd_nearest(args):
     _check_eps(args.eps)
     A, dims = _setup(args)
 
-    T, time_T = _timed(lambda: nearest_orthogonal(A).P)
-    terms = _SandwichTerms(A, T)
+    polar, time_T = _timed(nearest_orthogonal, A)
+    terms = _SandwichTerms(A, polar)
     dist_AT = terms.dist_AT
 
     def rep(op):

@@ -104,9 +104,7 @@ def householder_qr(X):
     if m < n:
         raise ShapeError(f"householder_qr requires m >= n, got {m} x {n}")
     R = np.linalg.qr(X, mode="r")
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return d[:, None] * R
+    return np.where(np.diag(R) < 0, -1.0, 1.0)[:, None] * R
 
 
 def jacobi_svd(X):
@@ -156,21 +154,28 @@ def numerical_rank(values, rel_threshold=1e-12):
 
 
 def polar_factors(X):
-    """Orthogonal polar decomposition ``X = Q_P @ H`` via the SVD.
+    """Orthogonal polar decomposition ``X = Q_P @ H``.
 
     ``Q_P`` has orthonormal columns and is the nearest such matrix to ``X``
     in both the spectral and Frobenius norms; ``H`` is symmetric positive
-    semidefinite.  Requires ``m >= n``.
+    semidefinite.  Requires ``m >= n``.  With the Householder QR
+    ``X = Q R`` and the :func:`jacobi_svd` ``R = U diag(sigma) V^T``,
+    ``Q_P = Q U V^T`` and ``H = V diag(sigma) V^T``.  X and R share H, so
+    H keeps the Jacobi SVD's relative accuracy on column-scaled matrices,
+    which an SVD of X by bidiagonalization loses.
     """
     X = to_dense(as_matrix(X))
     m, n = X.shape
     if m < n:
         raise ShapeError(f"polar_factors requires m >= n, got {m} x {n}")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    Q = U @ Vt
-    H = (Vt.T * s) @ Vt
+    Q, R = np.linalg.qr(X)
+    # signed as by householder_qr: Q D is the Q of the signed D R
+    d = np.where(np.diag(R) < 0, -1.0, 1.0)
+    f = jacobi_svd(d[:, None] * R)
+    P = Q @ (d[:, None] * (f.U @ f.V.T))
+    H = (f.V * f.sigma) @ f.V.T
     H = 0.5 * (H + H.T)
-    return PolarPair(P=Q, H=H, mode="orthogonal")
+    return PolarPair(P=P, H=H, mode="orthogonal")
 
 
 def range_basis(*mats, rtol=None):

@@ -20,19 +20,17 @@ orthonormal columns,
   ``S A = Q H_s`` for a Q with orthonormal columns when the retained rank
   is n (which :func:`nearest_sts_orthogonal` enforces).
 
-Each is an n x n product, formed by SPD solves with H and H_s.  H comes
-from the R factor of A's Householder QR (A and R share H, their column
-norms and ``kappa(A D)``, D scaling each column to unit norm) by the
-one-sided Jacobi SVD, whose relative accuracy on column-scaled matrices it
-needs.  Against the explicit route (m x n differences and an apply of S to
-T), measured on 2000 x 50 with every sketch kind, the largest relative
-difference was 6e-15 on column-graded sparse input at ``kappa(A) = 1e10``
-and 3e-13 on column-graded gaussian input, where the explicit route is the
-less accurate one (its T, from the SVD of A, is 4e-12 away from the
-Jacobi one).  On rotated input ``U diag(sigma) V^T`` it grows as
-``u * kappa(A D)``: 1.4e-13 at 1e3, 1e-12 at 1e4 and 5e-9 at 1e8.  So the
-n x n route is taken only where ``kappa(A D) <= 1e3``; otherwise the
-explicit route is the accurate one.
+Each is an n x n product, formed by SPD solves with H and H_s, where H
+is the one :func:`~sketchsvd.densekernels.polar_factors` returns.  That
+route loses about ``u * kappa(A D)``, D scaling each column of A to unit
+norm, and the explicit route (m x n differences and an apply of S to T)
+less.  Measured against a 60-digit reference on rotated input
+``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch kind), the n x n
+certificate was at most 1.3e-13 from the one over the exact T at
+``kappa(A) = 1e3``, and 4.9e-11 to 6.5e-11 at 1e6 and 2.1e-7 to 8e-7 at
+1e10, against 5.5e-13 to 4.8e-12 and 1.3e-8 to 8.1e-8 for the explicit
+one.  So the n x n route is taken only where ``kappa(A D) <= 1e3``,
+which column-graded input meets at any ``kappa(A)``.
 """
 
 from dataclasses import dataclass
@@ -43,8 +41,6 @@ import scipy.linalg
 from .densekernels import (
     PolarPair,
     as_matrix,
-    householder_qr,
-    jacobi_svd,
     polar_factors,
     spectral_norm,
     to_dense,
@@ -54,7 +50,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from .sketchops import EmbeddingCertificate, empirical_epsilon
+from .sketchops import _certificate, empirical_epsilon
 from .stssvd import PASS_SLACK, sts_svd
 
 
@@ -323,28 +319,22 @@ class _SandwichTerms:
     and its orthogonal polar factor T, against any number of sketched
     pairs ``A = P H_s``.
 
-    Built once per A from the R factor of A's Householder QR, which gives
-    ``kappa(A D)`` and H.  Where ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every
-    term comes from n x n products of H and H_s; elsewhere from the m x n
-    differences and an apply of S to T (see the module docstring).  H is
-    not taken from :func:`~sketchsvd.densekernels.polar_factors`: its SVD
-    of A put H 1e-12 relative off on column-graded gaussian input at
-    ``kappa(A) = 1e10``, and the certificate inherited that error.
+    Built once per A from its classical polar pair ``(T, H)``.  Where
+    ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
+    products of H and H_s; elsewhere from the m x n differences and an
+    apply of S to T (see the module docstring).
     """
 
-    def __init__(self, A, T):
-        Ad = to_dense(A)
-        R = householder_qr(Ad)
-        self.factored = _column_scaled_condition(R) <= _FACTORED_MAX_KAPPA
+    def __init__(self, A, polar):
+        self.H = polar.H
+        # A D and H D have the same Gram matrix, so the same condition
+        self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA
         if self.factored:
-            f = jacobi_svd(R)
-            H = (f.V * f.sigma) @ f.V.T
-            self.H = 0.5 * (H + H.T)
             self.chol_H = scipy.linalg.cho_factor(self.H)
             self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
         else:
-            self.Ad, self.T = Ad, T
-            self.dist_AT = spectral_norm(Ad - T)
+            self.Ad, self.T = to_dense(A), polar.P
+            self.dist_AT = spectral_norm(self.Ad - self.T)
 
     def distances(self, pair):
         """``(|A - P|_2, |P - T|_2)`` for the sketched pair ``(P, H_s)``."""
@@ -361,13 +351,7 @@ class _SandwichTerms:
         # sigma(S T) = sigma(H_s H^-1) = sigma(H^-1 H_s)
         sv = np.linalg.svd(scipy.linalg.cho_solve(self.chol_H, pair.H),
                            compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
-        return EmbeddingCertificate(
-            epsilon_emp=max(smax**2 - 1.0, 1.0 - smin**2, 0.0),
-            subspace_dim=sv.size,
-            sigma_min_sketched=smin,
-            sigma_max_sketched=smax,
-        )
+        return _certificate(sv, sv.size)
 
 
 def nearest_sandwich_report(A, op, cert=None):
@@ -388,13 +372,15 @@ def nearest_sandwich_report(A, op, cert=None):
     ``A - P = T H (I - H_s^-1)``, ``P - T = T (H H_s^-1 - I)`` and
     ``sigma(S T) = sigma(H_s H^-1)``: no second apply of S and no m x n
     norm.  Where ``kappa(A D) > 1e3`` (D scaling A's columns to unit norm)
-    that route loses about ``u * kappa(A D)`` (5e-9 relative measured at
-    1e8), so the terms come from the m x n matrices and
-    :func:`~sketchsvd.sketchops.empirical_epsilon` instead.
+    that route loses about ``u * kappa(A D)`` (the certificate 5e-11 from
+    a 60-digit reference at 1e6, against 5e-12 for the explicit route), so
+    the terms come from the m x n matrices and
+    :func:`~sketchsvd.sketchops.empirical_epsilon` instead.  A is factored
+    once, by :func:`nearest_orthogonal`.
     """
     A = as_matrix(A)
     pair = nearest_sts_orthogonal(A, op)
-    terms = _SandwichTerms(A, nearest_orthogonal(A).P)
+    terms = _SandwichTerms(A, nearest_orthogonal(A))
     if cert is None:
         cert = terms.certificate(op, pair)
     eps = cert.epsilon_emp

@@ -29,14 +29,19 @@ block's rows are drawn a few at a time from the block's stream, applied
 and dropped, so an operator applied only to sparse input never holds its
 table (and draws its rows again on each such apply).  Either way the
 arithmetic is float64: rows are cast to float64 in bounded blocks before
-they multiply the input.  Sparse input runs on the draw's blocks and
-threads.  Dense input runs on the calling thread, whose BLAS threads its
-own products, unless numpy's BLAS reports one thread
-(:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
-cut into two halves whose bounds depend on ``s`` alone, and the halves are
-cast and multiplied on up to two threads.  Every certificate here
-(``empirical_epsilon`` and the bounds evaluated at it) measures the
-operator's table, so it is exact for the table as drawn;
+they multiply the input.  Beyond the output and the held table, an apply
+holds on any core count at most ``_GAUSSIAN_ROWS * m`` float64 entries
+for sparse input, plus as many float32 entries while no table is held
+(each of w threads takes chunks of ``_GAUSSIAN_ROWS // w`` rows), and one
+float64 stream block, about ``s * m / 8`` entries, for dense input.
+Sparse input runs on the draw's blocks and threads.  Dense input runs on
+the calling thread, whose BLAS threads its own products, unless numpy's
+BLAS reports one thread (:func:`~sketchsvd.densekernels.blas_threads`):
+then each stream block is cut into two halves whose bounds depend on
+``s`` alone, cast and multiplied on up to two threads that share the one
+block of scratch.  Every certificate here (``empirical_epsilon`` and the
+bounds evaluated at it) measures the operator's table, so it is exact
+for the table as drawn;
 :meth:`SketchOperator.materialize` returns that table in float64.
 Operators are immutable apart from the held table, which is drawn once
 under a lock, and safe to share across threads.
@@ -65,10 +70,7 @@ SPARSE_SIGN_NNZ_PER_COLUMN = 8
 _SRTT_BLOCK = 64
 
 # Rows held at once, shared among the threads, while a gaussian operator
-# is applied to sparse input: each of w threads casts chunks of
-# _GAUSSIAN_ROWS // w rows to float64 (and, with no table held, draws
-# them first into float32), so this memory does not grow with the core
-# count.
+# is applied to sparse input (the module docstring gives the memory rules).
 _GAUSSIAN_ROWS = 32
 
 # A gaussian table is drawn as this many row blocks, each from its own
@@ -303,17 +305,8 @@ class SketchOperator:
     def apply(self, X):
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
-        and sparse-sign kinds.  The gaussian kind casts its float32 table
-        back to float64 in row blocks, so that beyond the output (and the
-        table, which dense input draws and keeps) it holds on any core
-        count at most ``_GAUSSIAN_ROWS * m`` float64 entries for sparse
-        input, plus as many float32 entries while no table is held
-        (shared among the threads), and one of the ``_GAUSSIAN_STREAMS``
-        stream blocks, about s * m / 8 float64 entries, for dense input.
-        When numpy's BLAS runs one thread, dense input is applied as two
-        fixed halves of each stream block on up to two threads, which
-        share that one block of scratch; otherwise as one product per
-        block on the calling thread."""
+        and sparse-sign kinds.  The module docstring gives the memory and
+        threads a gaussian apply uses."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -443,15 +436,19 @@ def empirical_epsilon(op, U):
         raise PreconditionError(
             f"basis is not orthonormal: ||U^T U - I||_2 = {gram_defect:.3e}"
         )
-    SU = op.apply(U)
-    sv = np.linalg.svd(SU, compute_uv=False)
+    return _certificate(np.linalg.svd(op.apply(U), compute_uv=False), k)
+
+
+def _certificate(sv, k):
+    """The :class:`EmbeddingCertificate` of a k-dimensional subspace whose
+    orthonormal basis the sketch maps to a matrix with the nonincreasing
+    singular values ``sv``."""
     smax = float(sv[0])
     # a sketch with fewer rows than the subspace dimension has a nullspace
     # inside the subspace: its smallest gain is exactly zero
-    smin = float(sv[-1]) if SU.shape[0] >= k else 0.0
-    eps = max(smax**2 - 1.0, 1.0 - smin**2, 0.0)
+    smin = float(sv[-1]) if sv.size >= k else 0.0
     return EmbeddingCertificate(
-        epsilon_emp=eps,
+        epsilon_emp=max(smax**2 - 1.0, 1.0 - smin**2, 0.0),
         subspace_dim=k,
         sigma_min_sketched=smin,
         sigma_max_sketched=smax,

@@ -204,6 +204,41 @@ class TestPolarFactors:
         with pytest.raises(ShapeError):
             polar_factors(np.ones((2, 5)))
 
+    @staticmethod
+    def _exact(A):
+        """60-digit ``(T, H)`` with ``H = (A^T A)^(1/2)``, ``T = A H^-1``."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            Am = mpmath.matrix(A.tolist())
+            lam, E = mpmath.eigsy(Am.T * Am)
+            root = [mpmath.sqrt(v) for v in lam]
+            H = E * mpmath.diag(root) * E.T
+            T = Am * (E * mpmath.diag([1 / r for r in root]) * E.T)
+            return (np.array(T.tolist(), dtype=float),
+                    np.array(H.tolist(), dtype=float))
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e10])
+    def test_graded_against_mpmath(self, kappa):
+        # Column grading leaves kappa(A D) small, so H (relative to each
+        # column's norm) and T stay at roundoff for any kappa(A); an SVD of
+        # A by bidiagonalization puts H 1e-13 off at kappa(A) = 1e10.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((150, 10)) * np.logspace(0, -np.log10(kappa), 10)
+            T, H = self._exact(A)
+            pair = polar_factors(A)
+            assert np.max(np.abs(pair.H - H) / np.linalg.norm(H, axis=0)) <= 1e-14
+            assert np.max(np.abs(pair.P - T)) <= 1e-15
+
+    def test_rotated_against_mpmath(self):
+        # On rotated input T is as sensitive as Range(A): u * kappa(A)
+        kappa = 1e6
+        rng = np.random.default_rng(0)
+        A = (rand_orthonormal(rng, 150, 10) * np.logspace(0, -np.log10(kappa), 10)
+             ) @ rand_orthonormal(rng, 10, 10).T
+        T, _ = self._exact(A)
+        assert np.max(np.abs(polar_factors(A).P - T)) <= np.finfo(float).eps * kappa
+
 
 class TestNorms:
     def test_spectral_diag(self):

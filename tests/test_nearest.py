@@ -320,6 +320,26 @@ class TestNearestSandwich:
         result = nearest_sandwich_report(A, op)
         assert result.epsilon_emp == pytest.approx(union.epsilon_emp, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rotated_certificate_against_mpmath(self, kind):
+        # Rotated input at kappa(A) = 1e6 takes the explicit route: its
+        # certificate is 5e-13 to 5e-12 from the one over the exact T,
+        # where the n x n formula sigma(H_s H^-1) is 5e-11 to 7e-11 off.
+        mpmath = pytest.importorskip("mpmath")
+        m, n = 200, 8
+        rng = np.random.default_rng(7)
+        sigma = np.logspace(0, -6, n)
+        A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
+        with mpmath.workdps(60):
+            Am = mpmath.matrix(A.tolist())
+            lam, E = mpmath.eigsy(Am.T * Am)
+            inv_root = mpmath.diag([1 / mpmath.sqrt(v) for v in lam])
+            T = np.array((Am * (E * inv_root * E.T)).tolist(), dtype=float)
+        op = build_sketch(kind, 6 * n, m, seed=8)
+        want = empirical_epsilon(op, T).epsilon_emp
+        got = nearest_sandwich_report(A, op).epsilon_emp
+        assert got == pytest.approx(want, rel=0, abs=2e-11)
+
 
 def _explicit_terms(A, op, T, P):
     """The sandwich's terms from the m x n matrices and an apply of S."""
@@ -349,8 +369,9 @@ class TestSandwichTerms:
     def test_factored_route_matches_explicit(self, kind, sparse, kappa):
         # Column-graded input keeps kappa(A D) small at any kappa(A).
         A = self._matrix(sparse, kappa)
-        T = nearest_orthogonal(A).P
-        terms = _SandwichTerms(A, T)
+        polar = nearest_orthogonal(A)
+        T = polar.P
+        terms = _SandwichTerms(A, polar)
         assert terms.factored
         for seed in range(2):
             op = build_sketch(kind, 8 * self.n, self.m, seed=seed)
@@ -364,8 +385,9 @@ class TestSandwichTerms:
         rng = np.random.default_rng(3)
         U = rand_orthonormal(rng, self.m, self.n)
         A = (U * np.logspace(0, -8, self.n)) @ rand_orthonormal(rng, self.n, self.n).T
-        T = nearest_orthogonal(A).P
-        terms = _SandwichTerms(A, T)
+        polar = nearest_orthogonal(A)
+        T = polar.P
+        terms = _SandwichTerms(A, polar)
         assert not terms.factored
         op = build_sketch(kind, 8 * self.n, self.m, seed=4)
         pair = nearest_sts_orthogonal(A, op)
@@ -373,9 +395,10 @@ class TestSandwichTerms:
 
     def test_certificate_fields(self):
         A = self._matrix(False, 1.0)
-        T = nearest_orthogonal(A).P
+        polar = nearest_orthogonal(A)
+        T = polar.P
         op = build_sketch("srtt", 4 * self.n, self.m, seed=5)
-        got = _SandwichTerms(A, T).certificate(op, nearest_sts_orthogonal(A, op))
+        got = _SandwichTerms(A, polar).certificate(op, nearest_sts_orthogonal(A, op))
         want = empirical_epsilon(op, T)
         assert got.subspace_dim == want.subspace_dim == self.n
         assert got.sigma_min_sketched == pytest.approx(want.sigma_min_sketched, rel=1e-12)
