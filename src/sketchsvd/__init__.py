@@ -38,7 +38,6 @@ from .nearest import (
     nearest_sandwich_report,
     nearest_sts_orthogonal,
     orthogonality_report,
-    sts_polar_of_orthonormal,
 )
 from .sketchops import (
     EmbeddingCertificate,
@@ -102,7 +101,6 @@ __all__ = [
     "sketch_dim",
     "sketched_qr",
     "spectral_norm",
-    "sts_polar_of_orthonormal",
     "sts_singular_values",
     "sts_svd",
     "sts_svd_via_qr",

@@ -34,7 +34,7 @@ Conventions
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` about 2.5 s (8 s at OpenBLAS's
+  ``spectrum`` about 1 s and ``nearest`` about 2 s (6.5 s at OpenBLAS's
   default thread count); ``ortho`` about 55 s
   (the machine's load varies from run to run) and a 101 MB peak: each
   gaussian operator streams its rows through its one sparse apply and

@@ -72,16 +72,12 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class PolarPair:
-    """Polar-style factorization ``X = P @ H``.
-
-    ``mode`` records the orthogonality of P: ``"orthogonal"`` for
-    ``P^T P = I`` or ``"s-orthogonal"`` for ``(SP)^T (SP) = I``.  H is
-    symmetric positive semidefinite in either mode.
-    """
+    """Polar-style factorization ``X = P @ H`` with H symmetric positive
+    semidefinite and P orthonormal, ``P^T P = I`` (from
+    :func:`polar_factors`), or sketch-orthonormal, ``(SP)^T (SP) = I``."""
 
     P: np.ndarray
     H: np.ndarray
-    mode: str
 
     def reconstruct(self):
         return self.P @ self.H
@@ -175,7 +171,7 @@ def polar_factors(X):
     P = Q @ (d[:, None] * (f.U @ f.V.T))
     H = (f.V * f.sigma) @ f.V.T
     H = 0.5 * (H + H.T)
-    return PolarPair(P=P, H=H, mode="orthogonal")
+    return PolarPair(P=P, H=H)
 
 
 def range_basis(*mats, rtol=None):

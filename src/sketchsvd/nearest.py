@@ -2,10 +2,11 @@
 bound checks that relate them to the classical polar decomposition.
 
 Given a full-column-rank A and a sketch operator S, the nearest matrix with
-``(SQ)^T (SQ) = I`` in the sketch norms is ``P = W @ V.T`` from the
-factorization ``A = W diag(theta) V.T`` (the randomized polar decomposition
-``A = P H_s`` with ``H_s = V diag(theta) V.T``).  The classical problem's
-solution ``T`` comes from the ordinary polar decomposition ``A = T H``.
+``(SQ)^T (SQ) = I`` in the sketch norms is ``P = W @ V.T = A H_s^-1`` from
+the factorization ``A = W diag(theta) V.T`` (the randomized polar
+decomposition ``A = P H_s`` with ``H_s = V diag(theta) V.T``).  The
+classical problem's solution ``T`` comes from the ordinary polar
+decomposition ``A = T H``.
 Every bound this module reports is evaluated at a measured distortion
 ``epsilon_emp``, so the pass flags are deterministic over the audited
 subspace.
@@ -45,13 +46,9 @@ from .densekernels import (
     spectral_norm,
     to_dense,
 )
-from .errors import (
-    NumericalError,
-    PreconditionError,
-    RankDeficiencyError,
-)
+from .errors import PreconditionError, RankDeficiencyError
 from .sketchops import _certificate, empirical_epsilon
-from .stssvd import PASS_SLACK, sts_svd
+from .stssvd import PASS_SLACK, _retained, sts_singular_values
 
 
 @dataclass(frozen=True)
@@ -102,66 +99,42 @@ def nearest_sts_orthogonal(A, op):
     ``|A - P|_{S,F}^2 = sum (theta_i - 1)^2`` and
     ``|A - P|_{S,2} = max |theta_i - 1|``.
 
+    ``H = V diag(theta) V^T`` and ``P = A H^-1`` come from the retained
+    ``(theta, V)`` of the SVD of ``S A``; P is one m x n product of A with
+    ``V diag(theta)^-1 V^T``.
+
     Raises
     ------
     RankDeficiencyError
-        If A is not full column rank at :func:`sts_svd`'s default
-        threshold (the family of sketch-orthogonal candidates spanning
-        Range(A) needs r == n).
+        If A is not full column rank at the default threshold of
+        :func:`~sketchsvd.stssvd.sts_svd`, ``max(s, n) * eps`` relative
+        (the family of sketch-orthogonal candidates spanning Range(A)
+        needs r == n).
+
+    Warns
+    -----
+    SketchRankWarning
+        As :func:`~sketchsvd.stssvd.sts_svd` does, before the error that
+        ``s < n`` always brings.
     """
     A = as_matrix(A)
     n = A.shape[1]
-    f = sts_svd(A, op)
-    if f.r < n:
+    theta, V = _retained(*sts_singular_values(A, op), op.s, n)
+    if theta.size < n:
         raise RankDeficiencyError(
             f"nearest_sts_orthogonal requires full column rank: retained "
-            f"rank {f.r} < {n}"
+            f"rank {theta.size} < {n}"
         )
-    P = f.W @ f.V.T
-    H = (f.V * f.theta) @ f.V.T
+    P = A @ ((V / theta) @ V.T)
+    H = (V * theta) @ V.T
     H = 0.5 * (H + H.T)
-    return PolarPair(P=P, H=H, mode="s-orthogonal")
+    return PolarPair(P=P, H=H)
 
 
 def nearest_orthogonal(A):
     """Nearest matrix with orthonormal columns to A (both classical norms);
     the orthogonal factor of the polar decomposition."""
     return polar_factors(A)
-
-
-def sts_polar_of_orthonormal(T, op):
-    """Sketch-orthogonal polar factor of an orthonormal matrix T.
-
-    With ``H = ((ST)^T (ST))^(1/2)`` from a symmetric eigendecomposition
-    (eigenvalues clipped to zero above -1e-12, error below) the pair
-    satisfies ``T = Q_T @ H`` and ``(S Q_T)^T (S Q_T) = I``.
-    """
-    T = np.asarray(T, dtype=np.float64)
-    n = T.shape[1]
-    defect = np.linalg.norm(T.T @ T - np.eye(n), 2)
-    if defect > 1e-10:
-        raise PreconditionError(
-            f"input is not orthonormal: ||T^T T - I||_2 = {defect:.3e}"
-        )
-    ST = op.apply(T)
-    M = ST.T @ ST
-    M = 0.5 * (M + M.T)
-    lam, E = np.linalg.eigh(M)
-    if lam[0] < -1e-12:
-        raise NumericalError(
-            f"sketched Gram matrix is indefinite (min eigenvalue {lam[0]:.3e})"
-        )
-    lam = np.clip(lam, 0.0, None)
-    if lam[0] <= 1e-24:
-        raise NumericalError(
-            "sketched Gram matrix is numerically singular: the sketch does "
-            "not embed Range(T) (distortion >= 1)"
-        )
-    root = np.sqrt(lam)
-    H = (E * root) @ E.T
-    H = 0.5 * (H + H.T)
-    Q_T = T @ ((E / root) @ E.T)
-    return PolarPair(P=Q_T, H=H, mode="s-orthogonal")
 
 
 def _loss_factor(eps):
@@ -364,8 +337,9 @@ def nearest_sandwich_report(A, op, cert=None):
     When ``cert`` is omitted the distortion is measured over Range(T).
     The sketch-orthogonal minimizer exists only for full-column-rank A,
     and then T is an orthonormal basis of Range(A), which also holds
-    ``A - T`` and ``T - Q_T`` (``Q_T`` the sketch-orthogonal polar factor
-    of T): every subspace the inequality's derivation touches.
+    ``A - T`` and ``T - Q_T`` (``Q_T = nearest_sts_orthogonal(T, op).P``,
+    the sketch-orthogonal polar factor of T): every subspace the
+    inequality's derivation touches.
 
     The three distances and the default certificate come from the n x n
     polar factors H and H_s through ``A - T = T (H - I)``,

@@ -79,8 +79,25 @@ class SpectrumComparison:
         return bool(self.flags.all())
 
 
-def _default_rtol(s, n):
-    return max(s, n) * _EPS
+def _retained(sigma, V, s, n, rtol=None):
+    """The rank rule of both routes: the leading ``(theta, V)`` of an SVD
+    with nonincreasing ``sigma``, truncated at ``rtol * sigma_1`` (default
+    ``max(s, n) * eps``) for a sketch of dimension s and n columns.
+
+    Warns with :class:`SketchRankWarning`, at the caller's caller, when
+    every value was retained and ``s < n``.
+    """
+    if rtol is None:
+        rtol = max(s, n) * _EPS
+    r = numerical_rank(sigma, rtol)
+    if r == s and s < n:
+        warnings.warn(
+            "all sketch singular values retained with s < n: sketch "
+            "dimension may be below rank(A) and the factorization inexact",
+            SketchRankWarning,
+            stacklevel=3,
+        )
+    return sigma[:r].copy(), np.ascontiguousarray(V[:, :r])
 
 
 def sts_singular_values(A, op):
@@ -116,23 +133,8 @@ def sts_svd(A, op, rtol=None):
         which case the sketch dimension may be below ``rank(A)``.
     """
     A = as_matrix(A)
-    n = A.shape[1]
-    if rtol is None:
-        rtol = _default_rtol(op.s, n)
-    theta_all, V_all = sts_singular_values(A, op)
-    r = numerical_rank(theta_all, rtol)
-    if r == op.s and op.s < n:
-        warnings.warn(
-            "all sketch singular values retained with s < n: sketch "
-            "dimension may be below rank(A) and the factorization inexact",
-            SketchRankWarning,
-            stacklevel=2,
-        )
-    theta = theta_all[:r].copy()
-    V = np.ascontiguousarray(V_all[:, :r])
-    W = A @ (V / theta) if r else np.zeros((A.shape[0], 0))
-    W = np.asarray(W)
-    return StsSvdFactors(W=W, theta=theta, V=V)
+    theta, V = _retained(*sts_singular_values(A, op), op.s, A.shape[1], rtol)
+    return StsSvdFactors(W=A @ (V / theta), theta=theta, V=V)
 
 
 def sketched_qr(A, op, rtol=_QR_RTOL):
@@ -209,14 +211,10 @@ def sts_svd_via_qr(A, op, rtol=None):
     the QR at its default and only truncates, as in :func:`sts_svd`.
     """
     A = as_matrix(A)
-    n = A.shape[1]
     Q, R = sketched_qr(A, op, _QR_RTOL if rtol is None else min(rtol, _QR_RTOL))
-    if rtol is None:
-        rtol = _default_rtol(op.s, n)
     f = jacobi_svd(R)
-    r = numerical_rank(f.sigma, rtol)
-    V = np.ascontiguousarray(f.V[:, :r])
-    return StsSvdFactors(W=Q @ f.U[:, :r], theta=f.sigma[:r].copy(), V=V)
+    theta, V = _retained(f.sigma, f.V, op.s, A.shape[1], rtol)
+    return StsSvdFactors(W=Q @ f.U[:, : theta.size], theta=theta, V=V)
 
 
 def truncate(f, k):

@@ -30,7 +30,6 @@ from sketchsvd import (
     spectral_norm,
     sts_singular_values,
     sts_svd,
-    sts_polar_of_orthonormal,
     truncate,
 )
 from sketchsvd.cli import main as cli_main
@@ -242,7 +241,7 @@ def test_distance_bounds_and_sandwich():
         op = build_sketch("gaussian", s, m, seed=seed)
         P = nearest_sts_orthogonal(A, op).P
         T = nearest_orthogonal(A).P
-        Q_T = sts_polar_of_orthonormal(T, op).P
+        Q_T = nearest_sts_orthogonal(T, op).P
         basis = range_basis(A, T, T - Q_T)
         cert = empirical_epsilon(op, basis)
         eps = cert.epsilon_emp

@@ -172,7 +172,6 @@ class TestPolarFactors:
         pair = polar_factors(X)
         np.testing.assert_allclose(pair.P, X, atol=1e-12)
         np.testing.assert_allclose(pair.H, np.eye(4), atol=1e-12)
-        assert pair.mode == "orthogonal"
 
     def test_scaled_identity(self):
         pair = polar_factors(2.0 * np.eye(3))

@@ -1,10 +1,12 @@
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
 from sketchsvd import (
-    NumericalError,
     PreconditionError,
     RankDeficiencyError,
+    SketchRankWarning,
     build_sketch,
     empirical_epsilon,
     gen_sparse_conditioned,
@@ -18,7 +20,6 @@ from sketchsvd import (
     s_two_norm,
     sketched_qr,
     spectral_norm,
-    sts_polar_of_orthonormal,
     sts_svd,
 )
 from sketchsvd.densekernels import to_dense
@@ -59,7 +60,6 @@ class TestNearestStsOrthogonal:
         A = rng.standard_normal((40, 6))
         op = build_sketch("gaussian", 24, 40, seed=6)
         pair = nearest_sts_orthogonal(A, op)
-        assert pair.mode == "s-orthogonal"
         nrm = np.linalg.norm(A, 2)
         assert np.linalg.norm(A - pair.P @ pair.H, 2) <= 1e-10 * nrm
         np.testing.assert_allclose(pair.H, pair.H.T, atol=1e-12)
@@ -118,13 +118,42 @@ class TestNearestStsOrthogonal:
         with pytest.raises(RankDeficiencyError):
             nearest_sts_orthogonal(A, op)
 
+    @pytest.mark.parametrize("kappa", [1e6, 1e10])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rotated_against_mpmath(self, kind, kappa):
+        # P = A (A^T S^T S A)^(-1/2) in 60 digits, from the operator's own
+        # dense matrix; the computed P is within u * kappa(A) of it
+        mpmath = pytest.importorskip("mpmath")
+        m, n = 200, 8
+        rng = np.random.default_rng(7)
+        sigma = np.logspace(0, -np.log10(kappa), n)
+        A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
+        op = build_sketch(kind, 6 * n, m, seed=8)
+        with mpmath.workdps(60):
+            Am = mpmath.matrix(A.tolist())
+            SA = mpmath.matrix(op.materialize().tolist()) * Am
+            lam, E = mpmath.eigsy(SA.T * SA)
+            inv_root = mpmath.diag([1 / mpmath.sqrt(v) for v in lam])
+            want = np.array((Am * (E * inv_root * E.T)).tolist(), dtype=float)
+        got = nearest_sts_orthogonal(A, op).P
+        assert np.abs(got - want).max() <= np.finfo(float).eps * kappa
+
+
+@pytest.mark.parametrize("route", [sts_svd, nearest_sts_orthogonal])
+def test_rank_warning_names_the_caller(route):
+    # s < n: the warning is reported at this file's call, not in the package
+    A = np.random.default_rng(11).standard_normal((40, 10))
+    op = build_sketch("gaussian", 4, 40, seed=12)
+    with pytest.warns(SketchRankWarning) as record, suppress(RankDeficiencyError):
+        route(A, op)
+    assert [w.filename for w in record] == [__file__]
+
 
 class TestNearestOrthogonal:
     def test_orthogonal_fixed_point(self):
         A = rand_orthonormal(np.random.default_rng(1), 12, 4)
         pair = nearest_orthogonal(A)
         np.testing.assert_allclose(pair.P, A, atol=1e-12)
-        assert pair.mode == "orthogonal"
 
     def test_diagonal_embedded(self):
         A = np.zeros((4, 2))
@@ -146,12 +175,12 @@ class TestNearestOrthogonal:
             assert np.linalg.norm(A - Z) >= best_f - 1e-10
 
 
-class TestStsPolarOfOrthonormal:
+class TestNearestStsOrthogonalOfOrthonormal:
     def test_full_sample_identity(self):
         m = 20
         op = build_sketch("srtt", m, m, seed=1)
         T = rand_orthonormal(np.random.default_rng(2), m, 5)
-        pair = sts_polar_of_orthonormal(T, op)
+        pair = nearest_sts_orthogonal(T, op)
         np.testing.assert_allclose(pair.P, T, atol=1e-10)
         np.testing.assert_allclose(pair.H, np.eye(5), atol=1e-10)
 
@@ -160,7 +189,7 @@ class TestStsPolarOfOrthonormal:
         op = build_sketch("gaussian", 10, m, seed=3)
         t = np.zeros((m, 1))
         t[2, 0] = 1.0
-        pair = sts_polar_of_orthonormal(t, op)
+        pair = nearest_sts_orthogonal(t, op)
         nrm = np.linalg.norm(op.apply(t))
         assert pair.H[0, 0] == pytest.approx(nrm, rel=1e-12)
         np.testing.assert_allclose(pair.P, t / nrm, atol=1e-12)
@@ -169,7 +198,7 @@ class TestStsPolarOfOrthonormal:
         rng = np.random.default_rng(4)
         T = rand_orthonormal(rng, 60, 5)
         op = build_sketch("gaussian", 30, 60, seed=5)
-        pair = sts_polar_of_orthonormal(T, op)
+        pair = nearest_sts_orthogonal(T, op)
         cert = empirical_epsilon(op, T)
         assert s_two_norm(T - pair.P, op) <= cert.epsilon_emp + 1e-10
         # the factor is sketch-orthonormal and reconstructs T
@@ -177,17 +206,12 @@ class TestStsPolarOfOrthonormal:
         assert np.linalg.norm(SQ.T @ SQ - np.eye(5), 2) <= 1e-8
         assert np.linalg.norm(T - pair.P @ pair.H, 2) <= 1e-10
 
-    def test_nonorthonormal_rejected(self):
-        op = build_sketch("gaussian", 10, 20, seed=6)
-        with pytest.raises(PreconditionError):
-            sts_polar_of_orthonormal(np.ones((20, 2)), op)
-
     def test_singular_sketched_gram(self):
-        # s = 1 cannot embed a 2-dimensional range: H is singular
+        # s = 1 cannot embed a 2-dimensional range: one value is retained
         op = build_sketch("srtt", 1, 10, seed=7)
         T = np.eye(10)[:, :2]
-        with pytest.raises(NumericalError):
-            sts_polar_of_orthonormal(T, op)
+        with pytest.warns(SketchRankWarning), pytest.raises(RankDeficiencyError):
+            nearest_sts_orthogonal(T, op)
 
 
 class TestOrthogonalityReport:
@@ -314,7 +338,7 @@ class TestNearestSandwich:
             A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
         op = build_sketch(kind, 6 * n, m, seed=8)
         T = nearest_orthogonal(A).P
-        Q_T = sts_polar_of_orthonormal(T, op).P
+        Q_T = nearest_sts_orthogonal(T, op).P
         union = empirical_epsilon(op, range_basis(A, T, T - Q_T))
         assert union.subspace_dim == n
         result = nearest_sandwich_report(A, op)
