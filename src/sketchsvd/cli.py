@@ -9,11 +9,16 @@ Commands
 ``ortho``     loss of orthogonality of the sketch-orthonormal left factor
               as the sketch dimension varies (columns: s, fro_loss,
               two_loss, time_s), with bound checks at an asserted
-              distortion.
+              distortion.  ``time_s`` covers the sketch, its small SVD and
+              the factor's Gram matrix, summed over row blocks of A; the
+              m x n factor itself is never formed.
 ``nearest``   distances of the sketch-orthogonal and classical nearest
               matrices (columns: s, dist_A_P_2, dist_P_T_2, time_P_s,
               sandwich_pass), with the sandwich checked at an asserted
               distortion and again at each repetition's measured one.
+              ``time_P_s`` covers the sketch, its small SVD and the n x n
+              factor ``H_s``; the m x n ``P`` is formed, after it, only
+              where the sandwich takes its explicit route.
 ``gen``       write the matrix that ``--matrix`` and ``--seed`` name (seeded
               as below) to the Matrix Market file ``--out``.
 
@@ -35,11 +40,16 @@ Conventions
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
   ``spectrum`` about 1 s and ``nearest`` about 2 s (6.5 s at OpenBLAS's
-  default thread count); ``ortho`` about 55 s
-  (the machine's load varies from run to run) and a 101 MB peak: each
-  gaussian operator streams its rows through its one sparse apply and
-  never holds its table.  Drawing those rows dominates ``ortho``'s time.
-  Full-scale presets are gated behind ``--xl``.
+  default thread count); ``ortho`` 48-66 s (the machine's load varies
+  from run to run) and an 84-85 MB peak: each gaussian operator streams
+  its rows through its one sparse apply and never holds its table, and
+  the left factor's Gram matrix is summed over row blocks of A.  Drawing
+  those rows dominates ``ortho``'s time.
+  Full-scale presets are gated behind ``--xl``.  ``ortho --preset xl --xl
+  --reps 2`` took 16-17 s at a 201 MB peak (808-826 MB while each
+  repetition formed its m x n left factor).  ``nearest --preset xl``
+  needs the externally supplied collection file and has not been
+  measured.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4
   asserted bounds violated (only with ``--strict``).
@@ -57,11 +67,10 @@ from .errors import GenerationError, NumericalError
 from .generators import gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
 from .nearest import (
-    _SandwichTerms, loss_bounds, nearest_orthogonal, nearest_sts_orthogonal,
-    sandwich_bounds,
+    _SandwichTerms, _sketched_polar, loss_bounds, nearest_orthogonal, sandwich_bounds,
 )
 from .sketchops import KINDS, EmbeddingSpec, build_sketch, sketch_dim
-from .stssvd import sts_singular_values, sts_svd
+from .stssvd import _left_gram, _retained, sts_singular_values
 
 PRESETS = {
     ("spectrum", "desk"): {
@@ -302,14 +311,20 @@ def _check_eps(eps):
         raise ValueError(f"--eps must be in (0, 1), got {eps}")
 
 
+def _gram_defect(A, op):
+    """``W^T W - I`` for the sketch-orthonormal left factor W of
+    ``sts_svd(A, op)``, summed over row blocks of A without forming W."""
+    theta, V = _retained(*sts_singular_values(A, op), op.s, A.shape[1])
+    return _left_gram(A, theta, V) - np.eye(theta.size)
+
+
 def cmd_ortho(args):
     _check_eps(args.eps)
     A, dims = _setup(args)
     eps = args.eps
 
     def rep(op):
-        f, secs = _timed(sts_svd, A, op)
-        G = f.W.T @ f.W - np.eye(f.r)
+        G, secs = _timed(_gram_defect, A, op)
         return {"fro_loss": np.linalg.norm(G), "two_loss": np.linalg.norm(G, 2),
                 "time_s": secs}
 
@@ -341,14 +356,14 @@ def cmd_nearest(args):
     dist_AT = terms.dist_AT
 
     def rep(op):
-        pair, secs = _timed(nearest_sts_orthogonal, A, op)
-        dist_AP, dist_PT = terms.distances(pair)
+        sketched, secs = _timed(_sketched_polar, A, op)
+        dist_AP, dist_PT = terms.distances(sketched)
         # The sandwich is asserted at the user's eps (default 0.5), matching
         # the probabilistic reading under which the reference tables are
-        # stated.  A has full column rank here (nearest_sts_orthogonal
-        # checked it), so the certificate is over Range(A) = Range(T).
+        # stated.  A has full column rank here (_sketched_polar checked
+        # it), so the certificate is over Range(A) = Range(T).
         return {"dist_A_P_2": dist_AP, "dist_P_T_2": dist_PT, "time_P_s": secs,
-                "epsilon_emp": terms.certificate(op, pair).epsilon_emp,
+                "epsilon_emp": terms.certificate(op, sketched).epsilon_emp,
                 "sandwich_pass": _sandwich_pass(dist_AP, dist_AT, args.eps)}
 
     raw = list(_repetitions(args, A, dims, rep))

@@ -12,8 +12,8 @@ Every bound this module reports is evaluated at a measured distortion
 subspace.
 
 The sandwich's distances and its certificate over Range(A) need no m-sized
-work beyond the factorization itself.  Since ``P = A H_s^-1`` and T has
-orthonormal columns,
+work beyond the sketch ``S A``, and P itself is not formed.  Since
+``P = A H_s^-1`` and T has orthonormal columns,
 
 * ``|A - T| = |H - I|``, ``|A - P| = |H (I - H_s^-1)|`` and
   ``|P - T| = |H H_s^-1 - I|`` in the spectral norm;
@@ -24,8 +24,8 @@ orthonormal columns,
 Each is an n x n product, formed by SPD solves with H and H_s, where H
 is the one :func:`~sketchsvd.densekernels.polar_factors` returns.  That
 route loses about ``u * kappa(A D)``, D scaling each column of A to unit
-norm, and the explicit route (m x n differences and an apply of S to T)
-less.  Measured against a 60-digit reference on rotated input
+norm, and the explicit route (P, the m x n differences and an apply of S
+to T) less.  Measured against a 60-digit reference on rotated input
 ``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch kind), the n x n
 certificate was at most 1.3e-13 from the one over the exact T at
 ``kappa(A) = 1e3``, and 4.9e-11 to 6.5e-11 at 1e6 and 2.1e-7 to 8e-7 at
@@ -91,6 +91,41 @@ class NearestSandwich:
         return self.lower.passed and self.upper.passed
 
 
+@dataclass(frozen=True)
+class _SketchedPolar:
+    """The n x n part of the sketched polar decomposition ``A = P H_s``:
+    the retained ``(theta, V)`` of the SVD of ``S A`` and
+    ``H = H_s = V diag(theta) V^T``."""
+
+    theta: np.ndarray
+    V: np.ndarray
+    H: np.ndarray
+
+    def P(self, A):
+        """The m x n factor ``P = A H_s^-1``, one product of A with
+        ``V diag(theta)^-1 V^T``."""
+        return A @ ((self.V / self.theta) @ self.V.T)
+
+
+def _sketched_polar(A, op):
+    """:class:`_SketchedPolar` of A, with no m x n work beyond ``S A``.
+
+    Raises and warns as :func:`nearest_sts_orthogonal` does.  The warning
+    names the line that called this function's caller, so that it points
+    past the public entries (:func:`nearest_sts_orthogonal`,
+    :func:`nearest_sandwich_report`) into the user's code.
+    """
+    n = A.shape[1]
+    theta, V = _retained(*sts_singular_values(A, op), op.s, n, stacklevel=4)
+    if theta.size < n:
+        raise RankDeficiencyError(
+            f"nearest_sts_orthogonal requires full column rank: retained "
+            f"rank {theta.size} < {n}"
+        )
+    H = (V * theta) @ V.T
+    return _SketchedPolar(theta=theta, V=V, H=0.5 * (H + H.T))
+
+
 def nearest_sts_orthogonal(A, op):
     """Nearest sketch-orthogonal matrix to A in the sketch norms.
 
@@ -101,7 +136,7 @@ def nearest_sts_orthogonal(A, op):
 
     ``H = V diag(theta) V^T`` and ``P = A H^-1`` come from the retained
     ``(theta, V)`` of the SVD of ``S A``; P is one m x n product of A with
-    ``V diag(theta)^-1 V^T``.
+    ``V diag(theta)^-1 V^T``, and the only m x n array formed.
 
     Raises
     ------
@@ -118,17 +153,8 @@ def nearest_sts_orthogonal(A, op):
         ``s < n`` always brings.
     """
     A = as_matrix(A)
-    n = A.shape[1]
-    theta, V = _retained(*sts_singular_values(A, op), op.s, n)
-    if theta.size < n:
-        raise RankDeficiencyError(
-            f"nearest_sts_orthogonal requires full column rank: retained "
-            f"rank {theta.size} < {n}"
-        )
-    P = A @ ((V / theta) @ V.T)
-    H = (V * theta) @ V.T
-    H = 0.5 * (H + H.T)
-    return PolarPair(P=P, H=H)
+    sketched = _sketched_polar(A, op)
+    return PolarPair(P=sketched.P(A), H=sketched.H)
 
 
 def nearest_orthogonal(A):
@@ -290,12 +316,13 @@ def _column_scaled_condition(R):
 class _SandwichTerms:
     """The sandwich's distances and its certificate over Range(A) for one A
     and its orthogonal polar factor T, against any number of sketched
-    pairs ``A = P H_s``.
+    polar decompositions ``A = P H_s``, each given as its n x n part
+    (:class:`_SketchedPolar`).
 
     Built once per A from its classical polar pair ``(T, H)``.  Where
     ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
-    products of H and H_s; elsewhere from the m x n differences and an
-    apply of S to T (see the module docstring).
+    products of H and H_s, and P is never formed; elsewhere from P, the
+    m x n differences and an apply of S to T (see the module docstring).
     """
 
     def __init__(self, A, polar):
@@ -306,23 +333,26 @@ class _SandwichTerms:
             self.chol_H = scipy.linalg.cho_factor(self.H)
             self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
         else:
-            self.Ad, self.T = to_dense(A), polar.P
+            self.A = as_matrix(A)
+            self.Ad, self.T = to_dense(self.A), polar.P
             self.dist_AT = spectral_norm(self.Ad - self.T)
 
-    def distances(self, pair):
-        """``(|A - P|_2, |P - T|_2)`` for the sketched pair ``(P, H_s)``."""
+    def distances(self, sketched):
+        """``(|A - P|_2, |P - T|_2)`` for the sketched polar decomposition
+        ``A = P H_s``."""
         if not self.factored:
-            return spectral_norm(self.Ad - pair.P), spectral_norm(pair.P - self.T)
+            P = sketched.P(self.A)
+            return spectral_norm(self.Ad - P), spectral_norm(P - self.T)
         # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
-        HHs = scipy.linalg.solve(pair.H, self.H, assume_a="pos").T
+        HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
         return spectral_norm(self.H - HHs), spectral_norm(HHs - np.eye(len(HHs)))
 
-    def certificate(self, op, pair):
+    def certificate(self, op, sketched):
         """The distortion of ``op`` over Range(A), which is Range(T)."""
         if not self.factored:
             return empirical_epsilon(op, self.T)
         # sigma(S T) = sigma(H_s H^-1) = sigma(H^-1 H_s)
-        sv = np.linalg.svd(scipy.linalg.cho_solve(self.chol_H, pair.H),
+        sv = np.linalg.svd(scipy.linalg.cho_solve(self.chol_H, sketched.H),
                            compute_uv=False)
         return _certificate(sv, sv.size)
 
@@ -348,17 +378,17 @@ def nearest_sandwich_report(A, op, cert=None):
     norm.  Where ``kappa(A D) > 1e3`` (D scaling A's columns to unit norm)
     that route loses about ``u * kappa(A D)`` (the certificate 5e-11 from
     a 60-digit reference at 1e6, against 5e-12 for the explicit route), so
-    the terms come from the m x n matrices and
+    the terms come from the m x n matrices (P is formed only there) and
     :func:`~sketchsvd.sketchops.empirical_epsilon` instead.  A is factored
     once, by :func:`nearest_orthogonal`.
     """
     A = as_matrix(A)
-    pair = nearest_sts_orthogonal(A, op)
+    sketched = _sketched_polar(A, op)
     terms = _SandwichTerms(A, nearest_orthogonal(A))
     if cert is None:
-        cert = terms.certificate(op, pair)
+        cert = terms.certificate(op, sketched)
     eps = cert.epsilon_emp
-    dist_AP, dist_PT = terms.distances(pair)
+    dist_AP, dist_PT = terms.distances(sketched)
     dist_AT = terms.dist_AT
     lower, upper = sandwich_bounds(dist_AP, dist_AT, eps)
     return NearestSandwich(

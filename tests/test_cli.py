@@ -5,16 +5,18 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from sketchsvd import (
-    GenerationError, SketchRankWarning, cli, read_matrix_market, sketchops,
-    write_matrix_market,
+    GenerationError, SketchRankWarning, cli, gen_sparse_conditioned, nearest,
+    nearest_sts_orthogonal, read_matrix_market, sketchops, write_matrix_market,
 )
 from sketchsvd.cli import main
+from sketchsvd.stssvd import _GRAM_ROWS
 
 
 def run(args):
@@ -291,6 +293,14 @@ class TestOrtho:
         _, fro, two, _ = out.read_text().splitlines()[2].split(",")
         assert float(fro) <= 1e-10 and float(two) <= 1e-10
 
+    def test_rank_warning_below_n(self):
+        # s = 10 below n = 20: every sketch singular value is retained, and
+        # the factorization may be inexact; ortho still reports its losses
+        with pytest.warns(SketchRankWarning):
+            rc = run(["ortho", "--matrix", "randn:300,20", "--sketch", "gaussian",
+                      "--s", 10, "--reps", 1])
+        assert rc == 0
+
 
 class TestNearest:
     def test_columns_and_sandwich(self, tmp_path):
@@ -372,6 +382,93 @@ class TestNearest:
             rc = run(["nearest", "--matrix", "randn:300,20", "--s", 10, "--reps", 1])
         assert rc == 2
         assert "full column rank" in capsys.readouterr().err
+
+
+class TestRepetitionMemory:
+    """A repetition of ``ortho`` or of ``nearest`` (on its factored route)
+    forms no m x n array: beyond the inputs and its operator, it holds
+    blocks of ``_GRAM_ROWS`` rows and n x n matrices."""
+
+    m, n = 20_000, 100
+
+    @staticmethod
+    def _traced_peak(fn):
+        """``fn()`` and the peak of traced memory while it ran."""
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _matrix(self, tmp_path):
+        A = gen_sparse_conditioned(self.m, self.n, 0.01, 1e10, seed=3)
+        write_matrix_market(A, tmp_path / "a.mtx")
+        return A
+
+    def _repetition_bytes(self, monkeypatch, tmp_path, command):
+        """Bytes the run's one repetition allocates above what is held when
+        its operator is built, and the peak of building that operator and
+        applying it to A alone."""
+        A = self._matrix(tmp_path)
+        built = []
+        build_sketch = cli.build_sketch
+
+        def marking_build_sketch(*args):
+            tracemalloc.reset_peak()
+            built.append((args, tracemalloc.get_traced_memory()[0]))
+            return build_sketch(*args)
+
+        monkeypatch.setattr(cli, "build_sketch", marking_build_sketch)
+        argv = [command, "--matrix", tmp_path / "a.mtx", "--sketch", "sparse-sign",
+                "--s", "2n", "--reps", 1]
+        rc, peak = self._traced_peak(lambda: run(argv))
+        assert rc == 0
+        [(args, held)] = built
+        _, sketch = self._traced_peak(lambda: build_sketch(*args).apply(A))
+        return peak - held, sketch
+
+    def test_ortho_forms_no_left_factor(self, monkeypatch, tmp_path):
+        extra, sketch = self._repetition_bytes(monkeypatch, tmp_path, "ortho")
+        # two blocks of the product (one is freed as the next is formed)
+        # and a few n x n matrices; W alone would be 8 m n = 16 MB
+        assert extra < sketch + 8 * (2 * _GRAM_ROWS * self.n + 8 * self.n**2)
+
+    def test_factored_nearest_forms_no_P(self, monkeypatch, tmp_path):
+        def no_P(*args):
+            raise AssertionError("the factored route formed P")
+
+        monkeypatch.setattr(nearest._SketchedPolar, "P", no_P)
+        extra, sketch = self._repetition_bytes(monkeypatch, tmp_path, "nearest")
+        # n x n matrices only; P alone would be 8 m n = 16 MB
+        assert extra < sketch + 8 * 16 * self.n**2
+
+    def test_explicit_nearest_forms_the_same_P(self, monkeypatch, tmp_path):
+        # rotated input at kappa 1e8 takes the explicit route, which forms P
+        # in each repetition, bitwise as nearest_sts_orthogonal does
+        m, n = 2000, 20
+        rng = np.random.default_rng(3)
+        U, V = (np.linalg.qr(rng.standard_normal(shape))[0]
+                for shape in [(m, n), (n, n)])
+        write_matrix_market((U * np.logspace(0, -8, n)) @ V.T, tmp_path / "rot.mtx")
+        A = read_matrix_market(tmp_path / "rot.mtx")
+        built, formed = [], []
+        build_sketch, form_P = cli.build_sketch, nearest._SketchedPolar.P
+
+        def recording_build_sketch(*args):
+            built.append(args)
+            return build_sketch(*args)
+
+        def recording_P(self, A):
+            formed.append(form_P(self, A))
+            return formed[-1]
+
+        monkeypatch.setattr(cli, "build_sketch", recording_build_sketch)
+        monkeypatch.setattr(nearest._SketchedPolar, "P", recording_P)
+        assert run(["nearest", "--matrix", tmp_path / "rot.mtx", "--sketch", "srtt",
+                    "--s", "4n,8n", "--reps", 2, "--out", tmp_path / "n.csv"]) == 0
+        assert len(built) == len(formed) == 4
+        for args, P in zip(built, formed):
+            assert np.array_equal(P, nearest_sts_orthogonal(A, build_sketch(*args)).P)
 
 
 class TestSeeding:

@@ -23,7 +23,7 @@ from sketchsvd import (
     sts_svd,
 )
 from sketchsvd.densekernels import to_dense
-from sketchsvd.nearest import _SandwichTerms, loss_bounds
+from sketchsvd.nearest import _SandwichTerms, _sketched_polar, loss_bounds
 from sketchsvd.sketchops import KINDS
 
 
@@ -372,9 +372,9 @@ def _explicit_terms(A, op, T, P):
             empirical_epsilon(op, T).epsilon_emp)
 
 
-def _factored_terms(terms, op, pair):
-    return (terms.dist_AT, *terms.distances(pair),
-            terms.certificate(op, pair).epsilon_emp)
+def _factored_terms(terms, op, sketched):
+    return (terms.dist_AT, *terms.distances(sketched),
+            terms.certificate(op, sketched).epsilon_emp)
 
 
 class TestSandwichTerms:
@@ -399,9 +399,8 @@ class TestSandwichTerms:
         assert terms.factored
         for seed in range(2):
             op = build_sketch(kind, 8 * self.n, self.m, seed=seed)
-            pair = nearest_sts_orthogonal(A, op)
-            got = _factored_terms(terms, op, pair)
-            want = _explicit_terms(A, op, T, pair.P)
+            got = _factored_terms(terms, op, _sketched_polar(A, op))
+            want = _explicit_terms(A, op, T, nearest_sts_orthogonal(A, op).P)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -414,15 +413,16 @@ class TestSandwichTerms:
         terms = _SandwichTerms(A, polar)
         assert not terms.factored
         op = build_sketch(kind, 8 * self.n, self.m, seed=4)
-        pair = nearest_sts_orthogonal(A, op)
-        assert _factored_terms(terms, op, pair) == _explicit_terms(A, op, T, pair.P)
+        P = nearest_sts_orthogonal(A, op).P
+        assert _factored_terms(terms, op, _sketched_polar(A, op)) == _explicit_terms(
+            A, op, T, P)
 
     def test_certificate_fields(self):
         A = self._matrix(False, 1.0)
         polar = nearest_orthogonal(A)
         T = polar.P
         op = build_sketch("srtt", 4 * self.n, self.m, seed=5)
-        got = _SandwichTerms(A, polar).certificate(op, nearest_sts_orthogonal(A, op))
+        got = _SandwichTerms(A, polar).certificate(op, _sketched_polar(A, op))
         want = empirical_epsilon(op, T)
         assert got.subspace_dim == want.subspace_dim == self.n
         assert got.sigma_min_sketched == pytest.approx(want.sigma_min_sketched, rel=1e-12)

@@ -28,6 +28,7 @@ from sketchsvd import (
     truncate,
 )
 from sketchsvd.sketchops import KINDS
+from sketchsvd.stssvd import _GRAM_ROWS, _left_gram
 
 
 def rand_orthonormal(rng, m, n):
@@ -577,3 +578,50 @@ class TestSingularValues:
                 reverse=True))
         theta, _ = sts_singular_values(A, op)
         assert np.max(np.abs(theta - exact) / exact) <= 2e-15
+
+
+class TestLeftGram:
+    """``_left_gram`` sums ``W^T W`` over row blocks of A; it must agree
+    with the Gram matrix of the left factor that ``sts_svd`` forms whole."""
+
+    n = 12
+
+    @staticmethod
+    def _gram_of_factor(A, op):
+        f = sts_svd(A, op)
+        return f.W.T @ f.W, _left_gram(A, f.theta, f.V)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr", "csc"])
+    @pytest.mark.parametrize(
+        "m", [100, 2 * _GRAM_ROWS - 1, 2 * _GRAM_ROWS, 2 * _GRAM_ROWS + 1])
+    def test_matches_whole_factor(self, m, fmt):
+        # below one block, and two blocks exactly, less one row and plus one
+        rng = np.random.default_rng(m)
+        A = sp.random_array((m, self.n), density=0.3, rng=rng, format="csr")
+        A = A @ sp.diags_array(np.logspace(0, -8, self.n))
+        A = A.toarray() if fmt == "dense" else A.asformat(fmt)
+        op = build_sketch("sparse-sign", 4 * self.n, m, seed=m + 1)
+        want, got = self._gram_of_factor(A, op)
+        assert got.shape == (self.n, self.n)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_retained_rank_below_n(self, kind):
+        # rank 5 of 12 columns: the Gram matrix is 5 x 5
+        m = _GRAM_ROWS + 7
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((m, 5)) @ rng.standard_normal((5, self.n))
+        op = build_sketch(kind, 4 * self.n, m, seed=4)
+        want, got = self._gram_of_factor(A, op)
+        assert got.shape == (5, 5)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_matrix(self, sparse):
+        m = _GRAM_ROWS + 1
+        A = sp.csr_matrix((m, self.n)) if sparse else np.zeros((m, self.n))
+        op = build_sketch("gaussian", 2 * self.n, m, seed=5)
+        want, got = self._gram_of_factor(A, op)
+        assert want.shape == got.shape == (0, 0)
