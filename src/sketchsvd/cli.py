@@ -39,17 +39,17 @@ Conventions
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` about 2 s (6.5 s at OpenBLAS's
-  default thread count); ``ortho`` 48-66 s (the machine's load varies
-  from run to run) and an 84-85 MB peak: each gaussian operator streams
-  its rows through its one sparse apply and never holds its table, and
-  the left factor's Gram matrix is summed over row blocks of A.  Drawing
-  those rows dominates ``ortho``'s time.
-  Full-scale presets are gated behind ``--xl``.  ``ortho --preset xl --xl
-  --reps 2`` took 16-17 s at a 201 MB peak (808-826 MB while each
-  repetition formed its m x n left factor).  ``nearest --preset xl``
-  needs the externally supplied collection file and has not been
-  measured.
+  ``spectrum`` about 1 s and ``nearest`` 1.9-2.6 s (2.3-2.4 s at
+  OpenBLAS's default thread count); ``ortho`` 48-66 s (the machine's load
+  varies from run to run) and an 84-85 MB peak: each gaussian operator
+  streams its rows through its one sparse apply and never holds its
+  table, and the left factor's Gram matrix is summed over row blocks of
+  A.  Drawing those rows dominates ``ortho``'s time.  Full-scale presets
+  are gated behind ``--xl``; pinned, ``ortho --preset xl --xl --reps 2``
+  took 14 s at a 99 MB peak, and ``spectrum --preset xl --xl`` 81 s at
+  458 MB, 54 s of it the full SVD of the reference.  ``nearest --preset
+  xl`` needs the externally supplied collection file, which is gated, and
+  has not been measured.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure, 4
   asserted bounds violated (only with ``--strict``).
@@ -399,7 +399,7 @@ def _add_matrix(p, required):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_common(p):
+def _add_common(p, strict):
     _add_matrix(p, required=False)
     p.add_argument("--sketch", choices=KINDS, default=None)
     p.add_argument("--s", default=None, help="comma list; integers or Kn multiples")
@@ -409,7 +409,8 @@ def _add_common(p):
     p.add_argument("--out", default=None)
     p.add_argument("--raw", action="store_true")
     p.add_argument("--xl", action="store_true")
-    p.add_argument("--strict", action="store_true")
+    if strict:
+        p.add_argument("--strict", action="store_true")
     p.add_argument("--preset", choices=["desk", "xl"], default=None)
 
 
@@ -421,7 +422,7 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "ortho", "nearest"):
-        _add_common(sub.add_parser(name))
+        _add_common(sub.add_parser(name), strict=name != "spectrum")
     g = sub.add_parser("gen", help="write the matrix --matrix names as Matrix Market")
     _add_matrix(g, required=True)
     g.add_argument("--out", required=True)

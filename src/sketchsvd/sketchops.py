@@ -24,24 +24,26 @@ the block count is a constant, the table does not depend on how many
 threads or cores there are.  A gaussian operator draws nothing at
 construction.  Its first dense apply (or :meth:`SketchOperator.materialize`)
 draws the whole float32 table, half the memory of float64, and keeps it.
-An apply to sparse input uses the table if it is held; otherwise each
-block's rows are drawn a few at a time from the block's stream, applied
+An apply to sparse input never reads the table: each block's rows are
+drawn a few at a time from the block's stream, cast to float64, applied
 and dropped, so an operator applied only to sparse input never holds its
-table (and draws its rows again on each such apply).  Either way the
-arithmetic is float64: rows are cast to float64 in bounded blocks before
-they multiply the input.  Beyond the output and the held table, an apply
-holds on any core count at most ``_GAUSSIAN_ROWS * m`` float64 entries
-for sparse input, plus as many float32 entries while no table is held
-(each of w threads takes chunks of ``_GAUSSIAN_ROWS // w`` rows), and one
-float64 stream block, about ``s * m / 8`` entries, for dense input.
-Sparse input runs on the draw's blocks and threads.  Dense input runs on
-the calling thread, whose BLAS threads its own products, unless numpy's
-BLAS reports one thread (:func:`~sketchsvd.densekernels.blas_threads`):
-then each stream block is cut into two halves whose bounds depend on
-``s`` alone, cast and multiplied on up to two threads that share the one
-block of scratch.  Every certificate here (``empirical_epsilon`` and the
-bounds evaluated at it) measures the operator's table, so it is exact
-for the table as drawn;
+table, and each sparse apply draws its rows again, even after a dense one.
+
+One budget, ``_APPLY_ENTRIES`` = 640 000 entries, bounds the scratch of
+the srtt apply and of the sparse gaussian apply: srtt transforms
+``max(1, budget // m)`` columns at a time (densifying sparse ones), and a
+sparse gaussian apply, on the draw's blocks and w threads, draws
+``max(1, budget // (w * m))`` rows per thread at a time.  Beyond its
+input and output, such an apply holds about ``budget`` entries per
+temporary (at least m) on any core count.  A dense gaussian apply casts
+the table into one float64 stream block of scratch, about ``s * m / 8``
+entries, on the calling thread, whose BLAS threads its products, unless
+numpy's BLAS reports one thread
+(:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
+cut into two halves whose bounds depend on ``s`` alone, cast and
+multiplied on up to two threads that share the scratch.  Every
+certificate here (``empirical_epsilon`` and the bounds evaluated at it)
+measures the operator's table, so it is exact for the table as drawn;
 :meth:`SketchOperator.materialize` returns that table in float64.
 Operators are immutable apart from the held table, which is drawn once
 under a lock, and safe to share across threads.
@@ -64,14 +66,12 @@ KINDS = ("gaussian", "srtt", "sparse-sign")
 
 SPARSE_SIGN_NNZ_PER_COLUMN = 8
 
-# Column block size used when an SRTT operator is applied to sparse input
-# (the trigonometric transform is inherently dense, so columns are densified
-# in bounded batches).
-_SRTT_BLOCK = 64
+# Entries per temporary of an srtt or sparse gaussian apply (the module
+# docstring gives the rule): 32 rows at the desk ortho shape's m = 20000.
+_APPLY_ENTRIES = 32 * 20_000
 
-# Rows held at once, shared among the threads, while a gaussian operator
-# is applied to sparse input (the module docstring gives the memory rules).
-_GAUSSIAN_ROWS = 32
+# The constant c of the srtt and sparse-sign rule of sketch_dim.
+_DIM_CONSTANT = 1.0
 
 # A gaussian table is drawn as this many row blocks, each from its own
 # seeded stream (numpy's parallel-generation scheme), so that the blocks
@@ -127,13 +127,13 @@ class EmbeddingCertificate:
     sigma_max_sketched: float
 
 
-def sketch_dim(spec, c=1.0):
+def sketch_dim(spec):
     """Heuristic sketch dimension for ``spec``, clamped to ``[k, m]``.
 
     Gaussian operators use ``ceil(eps^-2 * ln(1/delta) * ln(max(k, 2)))``;
-    srtt and sparse-sign use ``max(2k, ceil(c * eps^-2 * k))``.  The
-    constant ``c`` is exposed because the practical rule for trigonometric
-    sketches diverges as delta -> 0; the default c=1 reflects common usage.
+    srtt and sparse-sign use ``max(2k, ceil(c * eps^-2 * k))`` with
+    ``c = _DIM_CONSTANT`` (1, as in common usage), because the practical
+    rule for trigonometric sketches diverges as delta -> 0.
     Neither rule guarantees distortion ``eps`` with probability
     ``1 - delta``: over a random 50-dimensional subspace of R^5000 at
     ``eps = 0.5``, every kind measured a distortion above ``eps`` for 20 of
@@ -145,7 +145,7 @@ def sketch_dim(spec, c=1.0):
             spec.epsilon**-2 * math.log(1.0 / spec.delta) * math.log(max(spec.k, 2))
         )
     else:
-        target = max(2 * spec.k, math.ceil(c * spec.epsilon**-2 * spec.k))
+        target = max(2 * spec.k, math.ceil(_DIM_CONSTANT * spec.epsilon**-2 * spec.k))
     return min(spec.m, max(spec.k, target))
 
 
@@ -305,8 +305,8 @@ class SketchOperator:
     def apply(self, X):
         """Compute ``S @ X``; returns a dense (s, n) array (or (s,) for a
         vector input).  Sparse input is never densified for the gaussian
-        and sparse-sign kinds.  The module docstring gives the memory and
-        threads a gaussian apply uses."""
+        and sparse-sign kinds.  The module docstring gives the budget that
+        bounds its scratch and the threads a gaussian apply uses."""
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
@@ -362,26 +362,21 @@ class SketchOperator:
             return out
         Xt = X.T.tocsr()
         workers = _pool_workers(self.s, m, len(blocks))
-        rows = max(1, _GAUSSIAN_ROWS // workers)
-        table = self._dense
+        rows = max(1, _APPLY_ENTRIES // (workers * m))
         scale = np.float32(math.sqrt(self.s))
 
         def block(_, i, r0, r1):
-            # one float64 buffer per stream block, reused by its row chunks:
-            # C-order (m, rows), which scipy uses without a copy
+            # the block's rows come from its own stream; one float32 and one
+            # float64 buffer per stream block, reused by its row chunks, the
+            # latter C-order (m, rows), which scipy uses without a copy
+            gen = _stream(self.seed, i)
             height = min(rows, r1 - r0)
+            drawn = np.empty((height, m), dtype=np.float32)
             buf = np.empty(height * m)
-            if table is None:
-                # no table held: the block's rows come from its own stream
-                gen = _stream(self.seed, i)
-                drawn = np.empty((height, m), dtype=np.float32)
             for c0 in range(r0, r1, rows):
                 c1 = min(c0 + rows, r1)
-                if table is None:
-                    piece = drawn[:c1 - c0]
-                    _draw(gen, piece, scale)
-                else:
-                    piece = table[c0:c1]
+                piece = drawn[:c1 - c0]
+                _draw(gen, piece, scale)
                 chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
                 np.copyto(chunk, piece.T)
                 out[c0:c1] = (Xt @ chunk).T
@@ -390,16 +385,19 @@ class SketchOperator:
         return out
 
     def _apply_srtt(self, X):
+        n = X.shape[1]
+        cols = max(1, _APPLY_ENTRIES // self.m)
+        out = np.empty((self.s, n))
         if sp.issparse(X):
-            n = X.shape[1]
-            out = np.empty((self.s, n))
-            Xc = X.tocsc()
-            for j0 in range(0, n, _SRTT_BLOCK):
-                j1 = min(j0 + _SRTT_BLOCK, n)
-                out[:, j0:j1] = self._apply_srtt(Xc[:, j0:j1].toarray())
-            return out
-        Y = X * self._signs[:, None]
-        Z = scipy.fft.dct(Y, type=2, axis=0, norm="ortho")
+            X = X.tocsc()
+        for j0 in range(0, n, cols):
+            out[:, j0:j0 + cols] = self._srtt_block(X[:, j0:j0 + cols])
+        return out
+
+    def _srtt_block(self, X):
+        # a call of its own, so one block's arrays die before the next's exist
+        Y = (X.toarray() if sp.issparse(X) else X) * self._signs[:, None]
+        Z = scipy.fft.dct(Y, type=2, axis=0, norm="ortho", overwrite_x=True)
         return self._scale * Z[self._rows]
 
     def materialize(self):

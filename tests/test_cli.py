@@ -207,6 +207,13 @@ class TestSpectrum:
         assert rc == 2
         assert "spectrum takes one sketch dimension" in capsys.readouterr().err
 
+    def test_strict_rejected(self, capsys):
+        # spectrum checks no bound, so it has no --strict to exit 4 under
+        rc = run(["spectrum", "--matrix", "cauchy:30", "--s", 10, "--reps", 2,
+                  "--strict"])
+        assert rc == 2
+        assert "--strict" in capsys.readouterr().err
+
     def test_nan_input_is_numerical_failure(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text(

@@ -23,7 +23,7 @@ from sketchsvd import (
 )
 from sketchsvd import sketchops
 from sketchsvd.sketchops import (
-    _GAUSSIAN_ROWS, _PARALLEL_MIN_ENTRIES, KINDS, dct2_matrix
+    _APPLY_ENTRIES, _PARALLEL_MIN_ENTRIES, KINDS, dct2_matrix
 )
 
 
@@ -41,10 +41,6 @@ class TestSketchDim:
     def test_srtt_rule(self):
         spec = EmbeddingSpec(epsilon=0.5, delta=0.01, k=40, m=10_000, kind="srtt")
         assert sketch_dim(spec) == max(80, 160) == 160
-
-    def test_constant_exposed(self):
-        spec = EmbeddingSpec(epsilon=0.5, delta=0.01, k=40, m=10_000, kind="srtt")
-        assert sketch_dim(spec, c=2.0) == 320
 
     def test_at_least_k(self):
         spec = EmbeddingSpec(epsilon=0.9, delta=0.9, k=50, m=10_000,
@@ -227,13 +223,12 @@ class TestApply:
     @pytest.mark.parametrize("cores", [1, 4])
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
     def test_gaussian_sparse_row_blocks_bitwise(self, monkeypatch, fmt, cores):
-        # row chunks, drawn from the streams with no table held or cut from
-        # the held table, give the same bits as one sparse product; the
-        # stream blocks of 65-66 rows are no multiple of the 32 (one
-        # worker) or 8 (four workers) rows of a chunk
+        # row chunks drawn from the streams, before and after a dense apply
+        # has drawn the table, give the same bits as one sparse product;
+        # the stream blocks of 33-34 rows are no multiple of the 32 (one
+        # worker) or 8 (four workers) rows of a chunk at this m
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
-        s = 16 * _GAUSSIAN_ROWS + 11
-        m = _PARALLEL_MIN_ENTRIES // s + 1
+        s, m = 8 * 33 + 3, _APPLY_ENTRIES // 32
         rng = np.random.default_rng(23)
         X = sp.random_array((m, 7), density=0.05, rng=rng, format=fmt)
         op = build_sketch("gaussian", s, m, seed=24)
@@ -274,9 +269,41 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert op._dense is None
-        # half the float32 table; _GAUSSIAN_ROWS rows of float32 and float64
-        # scratch are under 0.8 bytes per entry here
+        # half the float32 table; the budget's float32 and float64 scratch
+        # is 1.5 bytes per entry here
         assert peak < 2 * s * m
+
+    @staticmethod
+    def _scratch_peak(op, X):
+        """tracemalloc peak of ``op.apply(X)`` beyond its output."""
+        tracemalloc.start()
+        try:
+            out = op.apply(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    def test_gaussian_sparse_apply_within_budget(self, monkeypatch):
+        # at m = 100000 each of two workers draws 3 rows at a time, not 16:
+        # about the budget in float32 and in float64
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        m = 100_000
+        X = sp.random_array((m, 5), density=1e-3, rng=40, format="csr")
+        op = build_sketch("gaussian", 128, m, seed=41)
+        assert self._scratch_peak(op, X) < 1.5 * 12 * _APPLY_ENTRIES
+
+    @pytest.mark.parametrize("fmt", ["csc", "dense"])
+    def test_srtt_apply_within_budget(self, fmt):
+        # at m = 100000 the transform runs on 6 columns at a time, not on
+        # 40 or 64: the densified block and its signed copy, transformed in
+        # place, hold about the budget each
+        m = 100_000
+        X = sp.random_array((m, 40), density=1e-3, rng=42, format="csc")
+        if fmt == "dense":
+            X = X.toarray()
+        op = build_sketch("srtt", 200, m, seed=43)
+        assert self._scratch_peak(op, X) < 3 * 8 * _APPLY_ENTRIES
 
     @pytest.mark.parametrize("blas", [1, 2])
     def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
@@ -372,14 +399,19 @@ class TestApply:
         for out in results[1:]:
             assert np.array_equal(out, results[0])
 
-    def test_srtt_sparse_crosses_column_blocks(self):
-        # more columns than the internal densification block
+    @pytest.mark.parametrize("fmt", ["csr", "dense"])
+    def test_srtt_crosses_column_blocks(self, monkeypatch, fmt):
+        # blocks of 7 columns give the same bits as one block of 150
         rng = np.random.default_rng(21)
-        X = sp.random_array((120, 150), density=0.05, rng=rng).tocsr()
+        X = sp.random_array((120, 150), density=0.05, rng=rng, format="csr")
+        if fmt == "dense":
+            X = X.toarray()
         op = build_sketch("srtt", 30, 120, seed=22)
-        np.testing.assert_allclose(
-            op.apply(X), op.apply(X.toarray()), rtol=1e-13, atol=1e-14
-        )
+        whole = op.apply(X)
+        monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 7 * 120)
+        assert np.array_equal(op.apply(X), whole)
+        reference = op.materialize() @ X
+        assert np.linalg.norm(whole - reference) <= 1e-13 * np.linalg.norm(reference)
 
     def test_vector_apply(self):
         op = build_sketch("srtt", 10, 50, seed=8)
