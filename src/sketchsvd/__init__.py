@@ -11,7 +11,6 @@ checked deterministically over the audited subspace.
 from .densekernels import (
     PolarPair,
     SvdFactors,
-    fro_norm,
     householder_qr,
     jacobi_svd,
     numerical_rank,
@@ -51,8 +50,6 @@ from .stssvd import (
     SpectrumComparison,
     StsSvdFactors,
     compare_spectra,
-    s_fro_norm,
-    s_two_norm,
     sketched_qr,
     sts_singular_values,
     sts_svd,
@@ -83,7 +80,6 @@ __all__ = [
     "build_sketch",
     "compare_spectra",
     "empirical_epsilon",
-    "fro_norm",
     "gen_cauchy",
     "gen_sparse_conditioned",
     "householder_qr",
@@ -96,8 +92,6 @@ __all__ = [
     "polar_factors",
     "range_basis",
     "read_matrix_market",
-    "s_fro_norm",
-    "s_two_norm",
     "sketch_dim",
     "sketched_qr",
     "spectral_norm",

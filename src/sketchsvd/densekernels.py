@@ -189,13 +189,6 @@ def range_basis(*mats, rtol=None):
     return U[:, : numerical_rank(s, rtol)]
 
 
-def fro_norm(X):
-    """Frobenius norm, exact for dense and sparse input."""
-    if sp.issparse(X):
-        return float(np.sqrt(X.data @ X.data)) if X.nnz else 0.0
-    return float(np.linalg.norm(np.asarray(X, dtype=np.float64)))
-
-
 def spectral_norm(X):
     """Largest singular value of ``X``, dense or sparse: the square root of
     the largest eigenvalue of the smaller Gram matrix (``X^T X`` or

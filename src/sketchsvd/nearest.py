@@ -60,18 +60,11 @@ class BoundReport:
     rhs: float
     epsilon: float
     passed: bool
-    description: str
 
 
-def _report(bound_id, lhs, rhs, epsilon, description):
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        epsilon=float(epsilon),
-        passed=bool(lhs <= rhs + PASS_SLACK),
-        description=description,
-    )
+def _report(bound_id, lhs, rhs, epsilon):
+    return BoundReport(bound_id=bound_id, lhs=float(lhs), rhs=float(rhs),
+                       epsilon=float(epsilon), passed=bool(lhs <= rhs + PASS_SLACK))
 
 
 @dataclass(frozen=True)
@@ -174,21 +167,8 @@ def loss_bounds(gram_two, gram_fro, n, eps):
     ``sqrt(n) * eps/(1-eps)``, as the ``(two, fro)`` pair of
     :class:`BoundReport`."""
     factor = _loss_factor(eps)
-    two = _report(
-        "gram_defect_two",
-        gram_two,
-        factor,
-        eps,
-        "spectral orthogonality loss of a sketch-orthonormal matrix",
-    )
-    fro = _report(
-        "gram_defect_fro",
-        gram_fro,
-        np.sqrt(n) * factor,
-        eps,
-        "Frobenius orthogonality loss of a sketch-orthonormal matrix",
-    )
-    return two, fro
+    return (_report("gram_defect_two", gram_two, factor, eps),
+            _report("gram_defect_fro", gram_fro, np.sqrt(n) * factor, eps))
 
 
 def orthogonality_report(P, op, cert):
@@ -227,49 +207,16 @@ def orthogonality_report(P, op, cert):
 
     reports = []
     if is_s_orthonormal:
-        factor = _loss_factor(eps)
         reports.extend(loss_bounds(gram_two, gram_fro, n, eps))
         # |P - polar factor|_2 = max|sigma_i(P) - 1|, sigma^2 = 1 + eig(gram)
         sigma = np.sqrt(1.0 + np.linalg.eigvalsh(gram))
         dist = np.abs(sigma - 1.0).max(initial=0.0)
-        reports.append(
-            _report(
-                "dist_to_orthonormal_upper",
-                dist,
-                factor,
-                eps,
-                "distance to the nearest orthonormal matrix vs distortion",
-            )
-        )
-        reports.append(
-            _report(
-                "dist_to_orthonormal_lower",
-                gram_two / (sigma.max(initial=0.0) + 1.0),
-                dist,
-                eps,
-                "normalized Gram defect lower-bounds the distance to the "
-                "nearest orthonormal matrix",
-            )
-        )
+        reports.append(_report("dist_to_orthonormal_upper", dist, _loss_factor(eps), eps))
+        reports.append(_report("dist_to_orthonormal_lower",
+                               gram_two / (sigma.max(initial=0.0) + 1.0), dist, eps))
     if is_orthonormal:
-        reports.append(
-            _report(
-                "sketched_gram_defect_two",
-                sgram_two,
-                eps,
-                eps,
-                "spectral sketched-orthogonality loss of an orthonormal matrix",
-            )
-        )
-        reports.append(
-            _report(
-                "sketched_gram_defect_fro",
-                sgram_fro,
-                eps * np.sqrt(n),
-                eps,
-                "Frobenius sketched-orthogonality loss of an orthonormal matrix",
-            )
-        )
+        reports.append(_report("sketched_gram_defect_two", sgram_two, eps, eps))
+        reports.append(_report("sketched_gram_defect_fro", sgram_fro, eps * np.sqrt(n), eps))
     return reports
 
 
@@ -280,22 +227,8 @@ def sandwich_bounds(dist_AP, dist_AT, eps):
     ``(lower, upper)`` pair of :class:`BoundReport`."""
     factor = _loss_factor(eps)
     blowup = (1.0 + eps) / (1.0 - eps) if eps < 1.0 else np.inf
-    lower = _report(
-        "nearest_sandwich_lower",
-        dist_AT - factor,
-        dist_AP,
-        eps,
-        "classical optimum minus the distortion penalty bounds the "
-        "sketched optimum from below",
-    )
-    upper = _report(
-        "nearest_sandwich_upper",
-        dist_AP,
-        blowup * dist_AT + factor,
-        eps,
-        "sketched optimum is within a distortion factor of the classical one",
-    )
-    return lower, upper
+    return (_report("nearest_sandwich_lower", dist_AT - factor, dist_AP, eps),
+            _report("nearest_sandwich_upper", dist_AP, blowup * dist_AT + factor, eps))
 
 
 # Largest kappa(A D) at which the sandwich's terms come from n x n factors
@@ -314,10 +247,10 @@ def _column_scaled_condition(R):
 
 
 class _SandwichTerms:
-    """The sandwich's distances and its certificate over Range(A) for one A
-    and its orthogonal polar factor T, against any number of sketched
-    polar decompositions ``A = P H_s``, each given as its n x n part
-    (:class:`_SketchedPolar`).
+    """The sandwich of one A and its orthogonal polar factor T against any
+    number of sketched polar decompositions ``A = P H_s``, each given as
+    its n x n part (:class:`_SketchedPolar`); :meth:`report` is the one
+    place that evaluates it.
 
     Built once per A from its classical polar pair ``(T, H)``.  Where
     ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
@@ -337,16 +270,6 @@ class _SandwichTerms:
             self.Ad, self.T = to_dense(self.A), polar.P
             self.dist_AT = spectral_norm(self.Ad - self.T)
 
-    def distances(self, sketched):
-        """``(|A - P|_2, |P - T|_2)`` for the sketched polar decomposition
-        ``A = P H_s``."""
-        if not self.factored:
-            P = sketched.P(self.A)
-            return spectral_norm(self.Ad - P), spectral_norm(P - self.T)
-        # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
-        HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
-        return spectral_norm(self.H - HHs), spectral_norm(HHs - np.eye(len(HHs)))
-
     def certificate(self, op, sketched):
         """The distortion of ``op`` over Range(A), which is Range(T)."""
         if not self.factored:
@@ -356,13 +279,31 @@ class _SandwichTerms:
                            compute_uv=False)
         return _certificate(sv, sv.size)
 
+    def report(self, op, sketched, cert=None):
+        """The :class:`NearestSandwich` of the sketched polar decomposition
+        ``A = P H_s``, evaluated at ``cert`` (by default at
+        :meth:`certificate`)."""
+        if cert is None:
+            cert = self.certificate(op, sketched)
+        if self.factored:
+            # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
+            HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
+            dist_AP = spectral_norm(self.H - HHs)
+            dist_PT = spectral_norm(HHs - np.eye(len(HHs)))
+        else:
+            P = sketched.P(self.A)
+            dist_AP, dist_PT = spectral_norm(self.Ad - P), spectral_norm(P - self.T)
+        eps = cert.epsilon_emp
+        return NearestSandwich(float(dist_AP), float(self.dist_AT), float(dist_PT),
+                               float(eps), *sandwich_bounds(dist_AP, self.dist_AT, eps))
+
 
 def nearest_sandwich_report(A, op, cert=None):
     """Compare the two nearest-matrix minimizers in the spectral norm.
 
-    Computes the sketch-orthogonal minimizer P and the classical minimizer
-    T, and checks ``|A - T| - eps/(1-eps) <= |A - P| <=
-    (1+eps)/(1-eps) |A - T| + eps/(1-eps)`` at ``eps = epsilon_emp``.
+    Evaluates ``|A - T| - eps/(1-eps) <= |A - P| <=
+    (1+eps)/(1-eps) |A - T| + eps/(1-eps)`` for the sketch-orthogonal
+    minimizer P and the classical minimizer T at ``eps = epsilon_emp``.
 
     When ``cert`` is omitted the distortion is measured over Range(T).
     The sketch-orthogonal minimizer exists only for full-column-rank A,
@@ -371,31 +312,11 @@ def nearest_sandwich_report(A, op, cert=None):
     the sketch-orthogonal polar factor of T): every subspace the
     inequality's derivation touches.
 
-    The three distances and the default certificate come from the n x n
-    polar factors H and H_s through ``A - T = T (H - I)``,
-    ``A - P = T H (I - H_s^-1)``, ``P - T = T (H H_s^-1 - I)`` and
-    ``sigma(S T) = sigma(H_s H^-1)``: no second apply of S and no m x n
-    norm.  Where ``kappa(A D) > 1e3`` (D scaling A's columns to unit norm)
-    that route loses about ``u * kappa(A D)`` (the certificate 5e-11 from
-    a 60-digit reference at 1e6, against 5e-12 for the explicit route), so
-    the terms come from the m x n matrices (P is formed only there) and
-    :func:`~sketchsvd.sketchops.empirical_epsilon` instead.  A is factored
-    once, by :func:`nearest_orthogonal`.
+    The module docstring gives the n x n identities behind the distances
+    and the default certificate, and the condition past which they come
+    from the m x n matrices instead.  A is factored once, by
+    :func:`nearest_orthogonal`.
     """
     A = as_matrix(A)
     sketched = _sketched_polar(A, op)
-    terms = _SandwichTerms(A, nearest_orthogonal(A))
-    if cert is None:
-        cert = terms.certificate(op, sketched)
-    eps = cert.epsilon_emp
-    dist_AP, dist_PT = terms.distances(sketched)
-    dist_AT = terms.dist_AT
-    lower, upper = sandwich_bounds(dist_AP, dist_AT, eps)
-    return NearestSandwich(
-        dist_sketched=float(dist_AP),
-        dist_classical=float(dist_AT),
-        dist_between=float(dist_PT),
-        epsilon_emp=float(eps),
-        lower=lower,
-        upper=upper,
-    )
+    return _SandwichTerms(A, nearest_orthogonal(A)).report(op, sketched, cert)

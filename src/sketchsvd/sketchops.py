@@ -91,7 +91,8 @@ class EmbeddingSpec:
     """Inputs of the sketch-dimension rule of :func:`sketch_dim`: a target
     distortion ``epsilon`` and failure probability ``delta`` for a fixed
     ``k``-dimensional subspace of R^m.  The rule is a heuristic and does
-    not guarantee that target (ROADMAP item 2)."""
+    not guarantee that target: :func:`sketch_dim` gives the measured
+    misses."""
 
     epsilon: float
     delta: float
@@ -137,8 +138,8 @@ def sketch_dim(spec):
     Neither rule guarantees distortion ``eps`` with probability
     ``1 - delta``: over a random 50-dimensional subspace of R^5000 at
     ``eps = 0.5``, every kind measured a distortion above ``eps`` for 20 of
-    20 sketch seeds (ROADMAP item 2).  Measure the distortion with
-    :func:`empirical_epsilon` where a bound must hold.
+    20 sketch seeds.  Measure the distortion with :func:`empirical_epsilon`
+    where a bound must hold.
     """
     if spec.kind == "gaussian":
         target = math.ceil(
@@ -289,7 +290,6 @@ class SketchOperator:
             self._sparse = sp.csr_matrix(
                 (data, (rows, cols)), shape=(self.s, self.m)
             )
-            self.zeta = zeta
 
     def _table(self):
         """The gaussian float32 table: drawn on the first call, under the

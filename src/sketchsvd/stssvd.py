@@ -30,11 +30,9 @@ from scipy.linalg.blas import dtrsm
 from .densekernels import (
     as_matrix,
     check_finite,
-    fro_norm,
     householder_qr,
     jacobi_svd,
     numerical_rank,
-    spectral_norm,
 )
 from .errors import NumericalError, RankDeficiencyError, ShapeError, SketchRankWarning
 
@@ -250,16 +248,6 @@ def truncate(f, k):
         theta=f.theta[:k].copy(),
         V=f.V[:, :k].copy(),
     )
-
-
-def s_fro_norm(X, op):
-    """Frobenius norm in the sketch inner product: ``|S X|_F``."""
-    return fro_norm(op.apply(X))
-
-
-def s_two_norm(X, op):
-    """Spectral norm in the sketch inner product: ``|S X|_2``."""
-    return spectral_norm(op.apply(X))
 
 
 def compare_spectra(f, sigma, cert):

@@ -25,8 +25,6 @@ from sketchsvd import (
     numerical_rank,
     orthogonality_report,
     range_basis,
-    s_fro_norm,
-    s_two_norm,
     spectral_norm,
     sts_singular_values,
     sts_svd,
@@ -47,6 +45,12 @@ def announce(name, detail=""):
 
 def rand_orthonormal(rng, m, n):
     return np.linalg.qr(rng.standard_normal((m, n)))[0]
+
+
+def s_norm(X, op, ord=None):
+    """``|S X|``: the sketch Frobenius norm, or with ``ord=2`` the sketch
+    spectral norm."""
+    return np.linalg.norm(op.apply(X), ord)
 
 
 def test_exact_reconstruction_50_seeds_under_10s():
@@ -137,24 +141,24 @@ def test_truncation_tail_identities_and_optimality():
         for k in range(1, f.r + 1):
             fk = truncate(f, k)
             E = A - fk.reconstruct()
-            err_f_sq = s_fro_norm(E, op) ** 2
+            err_f_sq = s_norm(E, op) ** 2
             assert abs(err_f_sq - tail_sq[k]) <= 1e-10 * total_sq
-            err_2 = s_two_norm(E, op)
+            err_2 = s_norm(E, op, 2)
             expected_2 = f.theta[k] if k < f.r else 0.0
             assert abs(err_2 - expected_2) <= 1e-10 * f.theta[0]
         # 200 random rank-3 competitors never beat the truncation
         k = 3
         fk = truncate(f, k)
-        best_f = s_fro_norm(A - fk.reconstruct(), op)
-        best_2 = s_two_norm(A - fk.reconstruct(), op)
+        best_f = s_norm(A - fk.reconstruct(), op)
+        best_2 = s_norm(A - fk.reconstruct(), op, 2)
         for trial in range(200):
             if trial % 2 == 0:
                 L = np.diag(f.theta[:k]) + 0.2 * rng.standard_normal((k, k))
                 B = (f.W[:, :k] @ L) @ f.V[:, :k].T
             else:
                 B = rng.standard_normal((40, k)) @ rng.standard_normal((k, 8))
-            assert s_fro_norm(A - B, op) >= best_f - 1e-10
-            assert s_two_norm(A - B, op) >= best_2 - 1e-10
+            assert s_norm(A - B, op) >= best_f - 1e-10
+            assert s_norm(A - B, op, 2) >= best_2 - 1e-10
     announce("truncation tail identities and rank-k optimality", "20 instances")
 
 
@@ -215,16 +219,16 @@ def test_nearest_matrix_optimality():
         op = build_sketch("gaussian", 24, 40, seed=seed)
         f = sts_svd(A, op)
         pair = nearest_sts_orthogonal(A, op)
-        best_f = s_fro_norm(A - pair.P, op)
-        best_2 = s_two_norm(A - pair.P, op)
+        best_f = s_norm(A - pair.P, op)
+        best_2 = s_norm(A - pair.P, op, 2)
         # residual identities
         assert abs(best_f - np.sqrt(np.sum((f.theta - 1.0) ** 2))) <= 1e-10 * best_f
         assert abs(best_2 - np.abs(f.theta - 1.0).max()) <= 1e-10 * max(best_2, 1.0)
         for _ in range(300):
             L = rand_orthonormal(rng, 6, 6)
             Q = (f.W @ L) @ f.V.T
-            comp_f = s_fro_norm(A - Q, op)
-            comp_2 = s_two_norm(A - Q, op)
+            comp_f = s_norm(A - Q, op)
+            comp_2 = s_norm(A - Q, op, 2)
             assert comp_f >= best_f - 1e-10
             assert comp_2 >= best_2 - 1e-10
             if comp_f <= best_f + 1e-10:
@@ -250,7 +254,7 @@ def test_distance_bounds_and_sandwich():
 
         reports = orthogonality_report(P, op, cert)
         hard_failures += sum(not r.passed for r in reports)
-        assert s_two_norm(T - Q_T, op) <= eps + 1e-10
+        assert s_norm(T - Q_T, op, 2) <= eps + 1e-10
         sandwich = nearest_sandwich_report(A, op, cert=cert)
         hard_failures += int(not sandwich.passed)
     assert hard_failures == 0

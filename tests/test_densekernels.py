@@ -10,7 +10,6 @@ from sketchsvd import (
     NumericalError,
     PreconditionError,
     ShapeError,
-    fro_norm,
     householder_qr,
     jacobi_svd,
     polar_factors,
@@ -279,14 +278,6 @@ class TestNorms:
         X = sp.random_array((300, 40), density=0.05, rng=rng)
         ref = np.linalg.svd(X.toarray(), compute_uv=False)[0]
         assert spectral_norm(X) == pytest.approx(ref, rel=1e-10)
-
-    def test_fro_norm(self):
-        rng = np.random.default_rng(16)
-        X = rng.standard_normal((30, 7))
-        assert fro_norm(X) == pytest.approx(np.linalg.norm(X))
-        Xs = sp.csr_matrix(X)
-        assert fro_norm(Xs) == pytest.approx(np.linalg.norm(X))
-        assert fro_norm(sp.csr_matrix((5, 5))) == 0.0
 
 
 class TestRangeBasis:

@@ -1,13 +1,17 @@
 """Static checks of the package's modules: no imported name goes unused,
-and ``__all__`` lists each exported name once and only names that exist."""
+``__all__`` lists each exported name once and only names that exist, and
+every exported function has a reader outside its own module."""
 
 import ast
 import importlib
+import inspect
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "sketchsvd"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "sketchsvd"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -55,3 +59,22 @@ def test_all_names_resolve_once():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"{path.name}: __all__ names {missing} do not resolve"
     assert checked
+
+
+def test_every_exported_function_has_a_reader():
+    # A function is read where README.md, perfbench/*.py or a package module
+    # other than its own and __init__.py names it.  Classes are exempt: some
+    # record types are only ever returned.
+    package = importlib.import_module("sketchsvd")
+    shared = [REPO / "README.md", *sorted((REPO / "perfbench").glob("*.py"))]
+    unread = []
+    for name in package.__all__:
+        obj = getattr(package, name)
+        if inspect.isclass(obj):
+            continue
+        home = obj.__module__.rpartition(".")[2]
+        readers = shared + [p for p in MODULES if p.stem not in (home, "__init__")]
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(p.read_text()) for p in readers):
+            unread.append(name)
+    assert not unread, f"exported functions nothing outside their module names: {unread}"

@@ -16,11 +16,10 @@ from sketchsvd import (
     compare_spectra,
     empirical_epsilon,
     gen_cauchy,
+    gen_sparse_conditioned,
     jacobi_svd,
     numerical_rank,
     range_basis,
-    s_fro_norm,
-    s_two_norm,
     sketched_qr,
     sts_singular_values,
     sts_svd,
@@ -28,11 +27,17 @@ from sketchsvd import (
     truncate,
 )
 from sketchsvd.sketchops import KINDS
-from sketchsvd.stssvd import _GRAM_ROWS, _left_gram
+from sketchsvd.stssvd import _GRAM_ROWS, _left_gram, _retained
 
 
 def rand_orthonormal(rng, m, n):
     return np.linalg.qr(rng.standard_normal((m, n)))[0]
+
+
+def s_norm(X, op, ord=None):
+    """``|S X|``: the sketch Frobenius norm, or with ``ord=2`` the sketch
+    spectral norm."""
+    return np.linalg.norm(op.apply(X), ord)
 
 
 def dense_checks(A, f, op):
@@ -221,6 +226,32 @@ class TestSketchedQRTwoPass:
         assert (np.diag(R) > 0).all()
         assert np.array_equal(R, np.triu(R))
 
+    @pytest.mark.parametrize("source", ["randn", "sparse-graded", "dense-graded"])
+    @pytest.mark.parametrize("factor", [4, 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_equals_left_factor_loss(self, kind, factor, source):
+        # Q and the left factor W of sts_svd are sketch-orthonormal bases of
+        # Range(A) for one operator, so Q = W O for an orthogonal O, and
+        # Q^T Q - I = O^T (W^T W - I) O: the same orthogonality loss in the
+        # spectral and Frobenius norms (measured within 5.2e-15 relative).
+        m, n = 2000, 50
+        rng = np.random.default_rng(0)
+        if source == "sparse-graded":
+            A = gen_sparse_conditioned(m, n, 0.05, 1e10, seed=1)
+        else:
+            A = rng.standard_normal((m, n))
+            if source == "dense-graded":
+                A *= np.logspace(0, -6, n)
+        op = build_sketch(kind, factor * n, m, seed=3)
+        Q, _ = sketched_qr(A, op)
+        theta, V = _retained(*sts_singular_values(A, op), op.s, n)
+        assert theta.size == n
+        loss_Q = Q.T @ Q - np.eye(n)
+        loss_W = _left_gram(A, theta, V) - np.eye(n)
+        for ord in (2, None):
+            assert np.linalg.norm(loss_Q, ord) == pytest.approx(
+                np.linalg.norm(loss_W, ord), rel=1e-12)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_kahan_factor(self, kind):
         # U K with K a 100 x 100 Kahan matrix: every R1[j, j] / |a_j| is at
@@ -375,14 +406,14 @@ class TestTruncate:
     def test_full_rank_zero_error(self, factored):
         A, op, f = factored
         fk = truncate(f, f.r)
-        assert s_fro_norm(A - fk.reconstruct(), op) <= 1e-12 * np.linalg.norm(A)
+        assert s_norm(A - fk.reconstruct(), op) <= 1e-12 * np.linalg.norm(A)
 
     def test_drop_one_tail(self, factored):
         A, op, f = factored
         fk = truncate(f, f.r - 1)
-        err = s_fro_norm(A - fk.reconstruct(), op)
+        err = s_norm(A - fk.reconstruct(), op)
         assert err == pytest.approx(f.theta[-1], rel=1e-10)
-        err2 = s_two_norm(A - fk.reconstruct(), op)
+        err2 = s_norm(A - fk.reconstruct(), op, 2)
         assert err2 == pytest.approx(f.theta[-1], rel=1e-10)
 
     def test_tail_identities_all_k(self, factored):
@@ -390,17 +421,17 @@ class TestTruncate:
         tail_sq = np.cumsum(f.theta[::-1] ** 2)[::-1]
         for k in range(1, f.r):
             fk = truncate(f, k)
-            err_f = s_fro_norm(A - fk.reconstruct(), op)
+            err_f = s_norm(A - fk.reconstruct(), op)
             assert err_f**2 == pytest.approx(tail_sq[k], rel=1e-10)
-            err_2 = s_two_norm(A - fk.reconstruct(), op)
+            err_2 = s_norm(A - fk.reconstruct(), op, 2)
             assert err_2 == pytest.approx(f.theta[k], rel=1e-10)
 
     def test_beats_random_competitors(self, factored):
         A, op, f = factored
         k = 3
         fk = truncate(f, k)
-        best_f = s_fro_norm(A - fk.reconstruct(), op)
-        best_2 = s_two_norm(A - fk.reconstruct(), op)
+        best_f = s_norm(A - fk.reconstruct(), op)
+        best_2 = s_norm(A - fk.reconstruct(), op, 2)
         rng = np.random.default_rng(9)
         Wk, Vk = f.W[:, :k], f.V[:, :k]
         for trial in range(200):
@@ -409,13 +440,13 @@ class TestTruncate:
             else:
                 L = rng.standard_normal((k, k))
             B = (Wk @ L) @ Vk.T
-            assert s_fro_norm(A - B, op) >= best_f - 1e-10
-            assert s_two_norm(A - B, op) >= best_2 - 1e-10
+            assert s_norm(A - B, op) >= best_f - 1e-10
+            assert s_norm(A - B, op, 2) >= best_2 - 1e-10
         # the classical truncated SVD is also no better in the sketch norms
         U, sig, Vt = np.linalg.svd(A, full_matrices=False)
         B = (U[:, :k] * sig[:k]) @ Vt[:k]
-        assert s_fro_norm(A - B, op) >= best_f - 1e-10
-        assert s_two_norm(A - B, op) >= best_2 - 1e-10
+        assert s_norm(A - B, op) >= best_f - 1e-10
+        assert s_norm(A - B, op, 2) >= best_2 - 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(k=st.integers(1, 6), seed=st.integers(0, 10))
@@ -454,27 +485,22 @@ class TestTruncate:
 
 
 class TestSNorms:
-    def test_zero(self):
-        op = build_sketch("gaussian", 5, 12, seed=1)
-        assert s_fro_norm(np.zeros((12, 3)), op) == 0.0
-        assert s_two_norm(np.zeros((12, 3)), op) == 0.0
-
     def test_full_sample_matches_classical(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((18, 4))
         op = build_sketch("srtt", 18, 18, seed=3)
-        assert s_fro_norm(X, op) == pytest.approx(np.linalg.norm(X), rel=1e-12)
-        assert s_two_norm(X, op) == pytest.approx(np.linalg.norm(X, 2), rel=1e-12)
+        assert s_norm(X, op) == pytest.approx(np.linalg.norm(X), rel=1e-12)
+        assert s_norm(X, op, 2) == pytest.approx(np.linalg.norm(X, 2), rel=1e-12)
 
     def test_theta_identities(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((40, 7))
         op = build_sketch("gaussian", 28, 40, seed=5)
         f = sts_svd(A, op)
-        assert s_fro_norm(A, op) == pytest.approx(
+        assert s_norm(A, op) == pytest.approx(
             np.sqrt(np.sum(f.theta**2)), rel=1e-10
         )
-        assert s_two_norm(A, op) == pytest.approx(f.theta[0], rel=1e-10)
+        assert s_norm(A, op, 2) == pytest.approx(f.theta[0], rel=1e-10)
 
     def test_certificate_inequality(self):
         rng = np.random.default_rng(6)
@@ -483,11 +509,9 @@ class TestSNorms:
         cert = empirical_epsilon(op, range_basis(X))
         lo = np.sqrt(max(1.0 - cert.epsilon_emp, 0.0))
         hi = np.sqrt(1.0 + cert.epsilon_emp)
-        for norm, s_norm in (
-            (np.linalg.norm(X), s_fro_norm(X, op)),
-            (np.linalg.norm(X, 2), s_two_norm(X, op)),
-        ):
-            assert lo * norm - 1e-10 <= s_norm <= hi * norm + 1e-10
+        for ord in (None, 2):
+            norm, sketched = np.linalg.norm(X, ord), s_norm(X, op, ord)
+            assert lo * norm - 1e-10 <= sketched <= hi * norm + 1e-10
 
 
 class TestCompareSpectra:
