@@ -39,12 +39,14 @@ Conventions
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
 * Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` about 1 s and ``nearest`` 1.9-2.6 s (2.3-2.4 s at
-  OpenBLAS's default thread count); ``ortho`` 48-66 s (the machine's load
-  varies from run to run) and an 84-85 MB peak: each gaussian operator
-  streams its rows through its one sparse apply and never holds its
-  table, and the left factor's Gram matrix is summed over row blocks of
-  A.  Drawing those rows dominates ``ortho``'s time.  Full-scale presets
+  ``spectrum`` 0.6 s at a 71 MB peak and ``nearest`` 1.7-1.9 s at 73 MB
+  (2.0 s at OpenBLAS's default thread count); ``ortho`` 49 s (48-66 s
+  over earlier runs, as the machine's load varies) and an 82 MB peak:
+  each gaussian operator streams its rows through its one sparse apply
+  and never holds its table, and the left factor's Gram matrix is summed
+  over row blocks of A.  Drawing those rows dominates ``ortho``'s time.
+  About 63 MB of each peak is the interpreter with numpy, scipy.sparse,
+  scipy.io and scipy.linalg imported.  Full-scale presets
   are gated behind ``--xl``; pinned, ``ortho --preset xl --xl --reps 2``
   took 14 s at a 99 MB peak, and ``spectrum --preset xl --xl`` 81 s at
   458 MB, 54 s of it the full SVD of the reference.  ``nearest --preset
@@ -60,7 +62,9 @@ import sys
 import time
 
 import numpy as np
-import scipy.sparse.linalg
+# scipy.sparse loads its linalg submodule on first use, so only spectrum's
+# reference svds pays for importing it
+import scipy.sparse
 
 from .densekernels import as_matrix, check_finite, numerical_rank, to_dense
 from .errors import GenerationError, NumericalError

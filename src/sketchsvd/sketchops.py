@@ -7,9 +7,11 @@ Three operator families are supported, identified by their ``kind`` tag:
   so that ``E |S v|^2 = |v|^2``;
 * ``"srtt"``         -- subsampled randomized trigonometric transform
   ``sqrt(m/s) * D F E``: a Rademacher sign diagonal ``E``, the orthonormal
-  type-II discrete cosine transform ``F`` (any length, O(m log m) via
-  ``scipy.fft``), and ``s`` rows sampled uniformly without replacement
-  (``D``); at ``s == m`` the operator is exactly orthogonal;
+  type-II discrete cosine transform ``F`` (any length, O(m log m) by
+  Makhoul's reordering through one length-m real FFT of ``numpy.fft``,
+  evaluated at the sampled frequencies only), and ``s`` rows sampled
+  uniformly without replacement (``D``); at ``s == m`` the operator is
+  exactly orthogonal;
 * ``"sparse-sign"``  -- per input coordinate, ``zeta = min(8, s)`` distinct
   output rows receive ``+-1/sqrt(zeta)``.
 
@@ -56,7 +58,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 
 from .densekernels import as_matrix, blas_threads
@@ -246,7 +247,10 @@ def dct2_matrix(m):
     transform behind :meth:`SketchOperator.materialize`, which the fast
     path is tested against."""
     i = np.arange(m)
-    F = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(i, 2 * i + 1) / (2.0 * m))
+    # entry (k, j) is at the angle pi k (2j + 1) / 2m; k (2j + 1) is reduced
+    # mod 4m in integers first, so the angle's rounding does not grow with m
+    angle = np.pi * (np.outer(i, 2 * i + 1) % (4 * m)) / (2.0 * m)
+    F = np.sqrt(2.0 / m) * np.cos(angle)
     F[0] *= np.sqrt(0.5)
     return F
 
@@ -279,7 +283,17 @@ class SketchOperator:
             rng = np.random.default_rng(self.seed)
             self._signs = rng.integers(0, 2, size=self.m) * 2.0 - 1.0
             self._rows = np.sort(rng.choice(self.m, size=self.s, replace=False))
-            self._scale = math.sqrt(self.m / self.s)
+            # Makhoul (IEEE TASSP 28(1), 1980): DCT-II frequency k of x is
+            # Re(exp(-i pi k / 2m) V_k), V the FFT of x's even entries
+            # followed by its odd ones reversed.  A real FFT holds V_k for
+            # k <= m // 2, and V_k = conj(V_{m-k}) past it; c_k folds in
+            # sqrt(m/s), the orthonormal sqrt(2/m) and 1/sqrt(2) at k = 0.
+            k = self._rows
+            c = math.sqrt(2.0 / self.s) * np.where(k == 0, math.sqrt(0.5), 1.0)
+            angle = np.pi * k / (2 * self.m)
+            self._bins = np.minimum(k, self.m - k)
+            self._re = c * np.cos(angle)
+            self._im = np.where(k > self.m // 2, -c, c) * np.sin(angle)
         else:
             rng = np.random.default_rng(self.seed)
             zeta = min(SPARSE_SIGN_NNZ_PER_COLUMN, self.s)
@@ -396,9 +410,15 @@ class SketchOperator:
 
     def _srtt_block(self, X):
         # a call of its own, so one block's arrays die before the next's exist
-        Y = (X.toarray() if sp.issparse(X) else X) * self._signs[:, None]
-        Z = scipy.fft.dct(Y, type=2, axis=0, norm="ortho", overwrite_x=True)
-        return self._scale * Z[self._rows]
+        X = X.toarray() if sp.issparse(X) else X
+        # Makhoul's reordering, signed, with the transform axis last (the
+        # real FFT runs fastest along contiguous rows)
+        h = (self.m + 1) // 2
+        Y = np.empty((X.shape[1], self.m))
+        np.multiply(X[0::2].T, self._signs[0::2], out=Y[:, :h])
+        np.multiply(X[1::2][::-1].T, self._signs[1::2][::-1], out=Y[:, h:])
+        R = np.fft.rfft(Y, axis=1)[:, self._bins]
+        return (self._re * R.real + self._im * R.imag).T
 
     def materialize(self):
         """Dense (s, m) matrix of the operator; intended for small m."""
@@ -407,7 +427,7 @@ class SketchOperator:
         if self.kind == "sparse-sign":
             return self._sparse.toarray()
         F = dct2_matrix(self.m)
-        return self._scale * (F * self._signs[None, :])[self._rows]
+        return math.sqrt(self.m / self.s) * (F * self._signs[None, :])[self._rows]
 
 
 def build_sketch(kind, s, m, seed):

@@ -1,12 +1,18 @@
-"""Static checks of the package's modules: no imported name goes unused,
-``__all__`` lists each exported name once and only names that exist, and
-every exported function has a reader outside its own module."""
+"""Checks of the package's imports: no imported name goes unused,
+``__all__`` lists each exported name once and only names that exist,
+every exported function has a reader outside its own module, the
+third-party packages imported are the declared dependencies, and a run
+loads no scipy submodule it does not call."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +84,62 @@ def test_every_exported_function_has_a_reader():
         if not any(word.search(p.read_text()) for p in readers):
             unread.append(name)
     assert not unread, f"exported functions nothing outside their module names: {unread}"
+
+
+def test_imported_packages_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"sketchsvd"}
+    with open(REPO / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared}
+    assert third_party == names
+
+
+# Every sketch kind on dense, sparse and vector input, then ortho and nearest
+# through the CLI: the scipy submodules no run calls stay unloaded until
+# spectrum's reference svds loads scipy.sparse.linalg.
+_FLOOR_RUN = """
+import contextlib, io, json, sys
+import numpy as np
+import scipy.sparse as sp
+import sketchsvd
+import sketchsvd.cli
+from sketchsvd.sketchops import KINDS
+X = np.random.default_rng(0).standard_normal((40, 3))
+for kind in KINDS:
+    op = sketchsvd.build_sketch(kind, 10, 40, seed=1)
+    for given in (X, sp.csr_matrix(X), X[:, 0]):
+        op.apply(given)
+unloaded = ("scipy.fft", "scipy.special", "scipy.sparse.linalg")
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("ortho", "nearest"):
+        for kind in KINDS:
+            codes.append(sketchsvd.cli.main(
+                [command, "--matrix", "randn:200,10", "--sketch", kind,
+                 "--s", "4n", "--reps", "2"]))
+    loaded = [name for name in unloaded if name in sys.modules]
+    codes.append(sketchsvd.cli.main(
+        ["spectrum", "--matrix", "randn:200,10", "--s", "4n", "--reps", "2"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "spectrum_loads_svds": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_runs_load_no_scipy_submodule_they_do_not_call():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _FLOOR_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7
+    assert result["loaded"] == []
+    assert result["spectrum_loads_svds"]

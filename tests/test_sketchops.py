@@ -420,15 +420,20 @@ class TestApply:
         assert out.shape == (10,)
         np.testing.assert_allclose(out, op.apply(v[:, None])[:, 0], atol=0)
 
-    @pytest.mark.parametrize("m", [7, 12, 16, 129])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 12, 16, 129, 2000])
     def test_srtt_fast_vs_reference(self, m):
-        # prime, mixed, power of two, odd composite lengths
+        # prime, mixed, power of two, odd composite lengths; at s = m every
+        # frequency is sampled, k = 0, k = m/2 and the folded k > m/2 with it
         rng = np.random.default_rng(m)
         X = rng.standard_normal((m, 3))
-        op = build_sketch("srtt", max(1, m // 2), m, seed=m)
-        fast = op.apply(X)
-        slow = op.materialize() @ X
-        assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(slow)
+        for s in sorted({1, max(1, m // 2), m}):
+            op = build_sketch("srtt", s, m, seed=m)
+            slow = op.materialize() @ X
+            for given_X, ref in ((X, slow), (sp.csc_matrix(X), slow),
+                                 (X[:, 0], slow[:, 0])):
+                fast = op.apply(given_X)
+                assert fast.shape == ref.shape
+                assert np.linalg.norm(fast - ref) <= 1e-13 * np.linalg.norm(ref), s
 
     def test_dct_reference_is_orthonormal(self):
         for m in (5, 8, 13):
