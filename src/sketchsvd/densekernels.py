@@ -169,9 +169,14 @@ def polar_factors(X):
     d = np.where(np.diag(R) < 0, -1.0, 1.0)
     f = jacobi_svd(d[:, None] * R)
     P = Q @ (d[:, None] * (f.U @ f.V.T))
-    H = (f.V * f.sigma) @ f.V.T
-    H = 0.5 * (H + H.T)
-    return PolarPair(P=P, H=H)
+    return PolarPair(P=P, H=_symmetric_factor(f.V, f.sigma))
+
+
+def _symmetric_factor(V, sigma):
+    """``V diag(sigma) V^T``, symmetrized: the H of a polar decomposition
+    from the right singular vectors and values of its input."""
+    H = (V * sigma) @ V.T
+    return 0.5 * (H + H.T)
 
 
 def range_basis(*mats, rtol=None):

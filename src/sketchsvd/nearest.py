@@ -21,16 +21,20 @@ work beyond the sketch ``S A``, and P itself is not formed.  Since
   ``S A = Q H_s`` for a Q with orthonormal columns when the retained rank
   is n (which :func:`nearest_sts_orthogonal` enforces).
 
-Each is an n x n product, formed by SPD solves with H and H_s, where H
-is the one :func:`~sketchsvd.densekernels.polar_factors` returns.  That
-route loses about ``u * kappa(A D)``, D scaling each column of A to unit
-norm, and the explicit route (P, the m x n differences and an apply of S
-to T) less.  Measured against a 60-digit reference on rotated input
-``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch kind), the n x n
-certificate was at most 1.3e-13 from the one over the exact T at
-``kappa(A) = 1e3``, and 4.9e-11 to 6.5e-11 at 1e6 and 2.1e-7 to 8e-7 at
-1e10, against 5.5e-13 to 4.8e-12 and 1.3e-8 to 8.1e-8 for the explicit
-one.  So the n x n route is taken only where ``kappa(A D) <= 1e3``,
+Each is an n x n product, formed by SPD solves with H and H_s.  A and
+the R of its thin QR share H, so H comes from the
+:func:`~sketchsvd.densekernels.jacobi_svd` of an R computed over row
+blocks of A (the sequential variant of TSQR; Demmel, Grigori, Hoemmen &
+Langou, arXiv:0808.2664), and no dense copy of A, no Q and no T is
+formed.  This route loses about ``u * kappa(A D)``, D scaling each
+column of A to unit norm, and the explicit route (T from
+:func:`~sketchsvd.densekernels.polar_factors`, P, the m x n differences
+and an apply of S to T) less.  Measured against a 60-digit reference
+on rotated input ``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch
+kind), the n x n certificate was at most 1.3e-13 from the one over the
+exact T at ``kappa(A) = 1e3``, and 4.9e-11 to 6.5e-11 at 1e6 and 2.1e-7
+to 8e-7 at 1e10, against 5.5e-13 to 4.8e-12 and 1.3e-8 to 8.1e-8 for
+the explicit one.  So the n x n route is taken only where ``kappa(A D) <= 1e3``,
 which column-graded input meets at any ``kappa(A)``.
 """
 
@@ -41,14 +45,16 @@ import scipy.linalg
 
 from .densekernels import (
     PolarPair,
+    _symmetric_factor,
     as_matrix,
+    jacobi_svd,
     polar_factors,
     spectral_norm,
     to_dense,
 )
-from .errors import PreconditionError, RankDeficiencyError
+from .errors import PreconditionError, RankDeficiencyError, ShapeError
 from .sketchops import _certificate, empirical_epsilon
-from .stssvd import PASS_SLACK, _retained, sts_singular_values
+from .stssvd import _GRAM_ROWS, PASS_SLACK, _retained, sts_singular_values
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,7 @@ def _sketched_polar(A, op):
             f"nearest_sts_orthogonal requires full column rank: retained "
             f"rank {theta.size} < {n}"
         )
-    H = (V * theta) @ V.T
-    return _SketchedPolar(theta=theta, V=V, H=0.5 * (H + H.T))
+    return _SketchedPolar(theta=theta, V=V, H=_symmetric_factor(V, theta))
 
 
 def nearest_sts_orthogonal(A, op):
@@ -246,28 +251,49 @@ def _column_scaled_condition(R):
     return sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
 
 
+def _row_blocked_r(A):
+    """R of the thin QR of A (dense or sparse, m >= n), signed as
+    :func:`~sketchsvd.densekernels.householder_qr` signs it; for dense A
+    of at most ``_GRAM_ROWS`` rows, bitwise its result.
+
+    Each block of ``_GRAM_ROWS`` rows is densified alone and factored
+    stacked under the R of the rows before it, so no m x n array is
+    formed.
+    """
+    m, n = A.shape
+    if m < n:
+        raise ShapeError(f"the thin QR requires m >= n, got {m} x {n}")
+    R = np.empty((0, n))
+    for i0 in range(0, m, _GRAM_ROWS):
+        R = np.linalg.qr(np.vstack((R, to_dense(A[i0 : i0 + _GRAM_ROWS]))), mode="r")
+    return np.where(np.diag(R) < 0, -1.0, 1.0)[:, None] * R
+
+
 class _SandwichTerms:
     """The sandwich of one A and its orthogonal polar factor T against any
     number of sketched polar decompositions ``A = P H_s``, each given as
     its n x n part (:class:`_SketchedPolar`); :meth:`report` is the one
     place that evaluates it.
 
-    Built once per A from its classical polar pair ``(T, H)``.  Where
+    Built once per A from the H of its classical polar decomposition
+    ``A = T H``, taken from the R of :func:`_row_blocked_r`.  Where
     ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
-    products of H and H_s, and P is never formed; elsewhere from P, the
-    m x n differences and an apply of S to T (see the module docstring).
+    products of H and H_s, and neither T nor P is formed; elsewhere from
+    T (by :func:`~sketchsvd.densekernels.polar_factors`), P, the m x n
+    differences and an apply of S to T (see the module docstring).
     """
 
-    def __init__(self, A, polar):
-        self.H = polar.H
+    def __init__(self, A):
+        A = as_matrix(A)
+        f = jacobi_svd(_row_blocked_r(A))
+        self.H = _symmetric_factor(f.V, f.sigma)
         # A D and H D have the same Gram matrix, so the same condition
         self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA
         if self.factored:
             self.chol_H = scipy.linalg.cho_factor(self.H)
             self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
         else:
-            self.A = as_matrix(A)
-            self.Ad, self.T = to_dense(self.A), polar.P
+            self.A, self.Ad, self.T = A, to_dense(A), polar_factors(A).P
             self.dist_AT = spectral_norm(self.Ad - self.T)
 
     def certificate(self, op, sketched):
@@ -314,9 +340,8 @@ def nearest_sandwich_report(A, op, cert=None):
 
     The module docstring gives the n x n identities behind the distances
     and the default certificate, and the condition past which they come
-    from the m x n matrices instead.  A is factored once, by
-    :func:`nearest_orthogonal`.
+    from the m x n matrices instead; T is formed only there.
     """
     A = as_matrix(A)
     sketched = _sketched_polar(A, op)
-    return _SandwichTerms(A, nearest_orthogonal(A)).report(op, sketched, cert)
+    return _SandwichTerms(A).report(op, sketched, cert)

@@ -37,9 +37,12 @@ the srtt apply and of the sparse gaussian apply: srtt transforms
 sparse gaussian apply, on the draw's blocks and w threads, draws
 ``max(1, budget // (w * m))`` rows per thread at a time.  Beyond its
 input and output, such an apply holds about ``budget`` entries per
-temporary (at least m) on any core count.  A dense gaussian apply casts
-the table into one float64 stream block of scratch, about ``s * m / 8``
-entries, on the calling thread, whose BLAS threads its products, unless
+temporary (at least m) on any core count.  Every gaussian apply
+allocates its scratch on the calling thread, one slice per worker, so
+that none of it is left in a worker thread's malloc arena.  A dense gaussian
+apply casts the table into one float64 stream block of scratch, about
+``s * m / 8`` entries, on the calling thread, whose BLAS threads its
+products, unless
 numpy's BLAS reports one thread
 (:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
 cut into two halves whose bounds depend on ``s`` alone, cast and
@@ -242,16 +245,17 @@ def _gaussian_table(s, m, seed):
     return table
 
 
-def dct2_matrix(m):
-    """Dense orthonormal type-II DCT matrix; the O(m^2) reference
-    transform behind :meth:`SketchOperator.materialize`, which the fast
-    path is tested against."""
-    i = np.arange(m)
+def dct2_matrix(k, m):
+    """Rows ``k`` (frequencies in ``[0, m)``) of the dense orthonormal
+    type-II DCT matrix of length m, one row of m entries each; the
+    reference transform behind :meth:`SketchOperator.materialize`, which
+    the fast path is tested against."""
+    k = np.asarray(k)
     # entry (k, j) is at the angle pi k (2j + 1) / 2m; k (2j + 1) is reduced
     # mod 4m in integers first, so the angle's rounding does not grow with m
-    angle = np.pi * (np.outer(i, 2 * i + 1) % (4 * m)) / (2.0 * m)
+    angle = np.pi * (np.outer(k, 2 * np.arange(m) + 1) % (4 * m)) / (2.0 * m)
     F = np.sqrt(2.0 / m) * np.cos(angle)
-    F[0] *= np.sqrt(0.5)
+    F[k == 0] *= np.sqrt(0.5)
     return F
 
 
@@ -378,20 +382,22 @@ class SketchOperator:
         workers = _pool_workers(self.s, m, len(blocks))
         rows = max(1, _APPLY_ENTRIES // (workers * m))
         scale = np.float32(math.sqrt(self.s))
+        # one float32 and one float64 buffer per worker, allocated here as
+        # buf is for dense input, reused by every row chunk the worker
+        # draws; the latter C-order (m, rows), which scipy uses without a
+        # copy
+        height = min(rows, max(r1 - r0 for _, r0, r1 in blocks))
+        drawn = np.empty((workers, height, m), dtype=np.float32)
+        buf = np.empty((workers, height * m))
 
-        def block(_, i, r0, r1):
-            # the block's rows come from its own stream; one float32 and one
-            # float64 buffer per stream block, reused by its row chunks, the
-            # latter C-order (m, rows), which scipy uses without a copy
+        def block(w, i, r0, r1):
+            # the block's rows come from its own stream
             gen = _stream(self.seed, i)
-            height = min(rows, r1 - r0)
-            drawn = np.empty((height, m), dtype=np.float32)
-            buf = np.empty(height * m)
             for c0 in range(r0, r1, rows):
                 c1 = min(c0 + rows, r1)
-                piece = drawn[:c1 - c0]
+                piece = drawn[w, :c1 - c0]
                 _draw(gen, piece, scale)
-                chunk = buf[:(c1 - c0) * m].reshape(m, c1 - c0)
+                chunk = buf[w, :(c1 - c0) * m].reshape(m, c1 - c0)
                 np.copyto(chunk, piece.T)
                 out[c0:c1] = (Xt @ chunk).T
 
@@ -426,8 +432,8 @@ class SketchOperator:
             return self._table().astype(np.float64)
         if self.kind == "sparse-sign":
             return self._sparse.toarray()
-        F = dct2_matrix(self.m)
-        return math.sqrt(self.m / self.s) * (F * self._signs[None, :])[self._rows]
+        F = dct2_matrix(self._rows, self.m)
+        return math.sqrt(self.m / self.s) * (F * self._signs[None, :])
 
 
 def build_sketch(kind, s, m, seed):

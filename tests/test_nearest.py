@@ -1,15 +1,20 @@
+import tracemalloc
 from contextlib import suppress
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sketchsvd import (
     PreconditionError,
     RankDeficiencyError,
+    ShapeError,
     SketchRankWarning,
     build_sketch,
     empirical_epsilon,
     gen_sparse_conditioned,
+    householder_qr,
+    nearest,
     nearest_orthogonal,
     nearest_sandwich_report,
     nearest_sts_orthogonal,
@@ -21,8 +26,11 @@ from sketchsvd import (
     sts_svd,
 )
 from sketchsvd.densekernels import to_dense
-from sketchsvd.nearest import _SandwichTerms, _sketched_polar, loss_bounds
+from sketchsvd.nearest import (
+    _row_blocked_r, _SandwichTerms, _sketched_polar, loss_bounds,
+)
 from sketchsvd.sketchops import KINDS
+from sketchsvd.stssvd import _GRAM_ROWS
 
 
 def rand_orthonormal(rng, m, n):
@@ -397,9 +405,8 @@ class TestSandwichTerms:
     def test_factored_route_matches_explicit(self, kind, sparse, kappa):
         # Column-graded input keeps kappa(A D) small at any kappa(A).
         A = self._matrix(sparse, kappa)
-        polar = nearest_orthogonal(A)
-        T = polar.P
-        terms = _SandwichTerms(A, polar)
+        T = nearest_orthogonal(A).P
+        terms = _SandwichTerms(A)
         assert terms.factored
         for seed in range(2):
             op = build_sketch(kind, 8 * self.n, self.m, seed=seed)
@@ -407,15 +414,48 @@ class TestSandwichTerms:
             want = _explicit_terms(A, op, T, nearest_sts_orthogonal(A, op).P)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("kappa", [1.0, 1e10])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_factored_route_forms_no_T(self, monkeypatch, sparse, kappa):
+        def no_polar(*args):
+            raise AssertionError("the factored route called polar_factors")
+
+        A = self._matrix(sparse, kappa)
+        monkeypatch.setattr(nearest, "polar_factors", no_polar)
+        assert _SandwichTerms(A).factored
+        op = build_sketch("srtt", 4 * self.n, self.m, seed=6)
+        assert nearest_sandwich_report(A, op).passed
+
+    def test_factored_route_holds_one_block(self):
+        # beyond A: blocks of _GRAM_ROWS rows and n x n matrices; the dense
+        # copy of A, its Q and T would take 8 m n = 16 MB each
+        m, n = 20_000, 100
+        A = gen_sparse_conditioned(m, n, 0.01, 1e10, seed=3)
+        tracemalloc.start()
+        try:
+            terms = _SandwichTerms(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert terms.factored
+        assert peak < 8 * (3 * (_GRAM_ROWS + n) * n + 16 * n**2)
+
     @pytest.mark.parametrize("kind", KINDS)
-    def test_rotated_ill_conditioned_takes_explicit_route(self, kind):
+    def test_rotated_ill_conditioned_takes_explicit_route(self, kind, monkeypatch):
         rng = np.random.default_rng(3)
         U = rand_orthonormal(rng, self.m, self.n)
         A = (U * np.logspace(0, -8, self.n)) @ rand_orthonormal(rng, self.n, self.n).T
-        polar = nearest_orthogonal(A)
-        T = polar.P
-        terms = _SandwichTerms(A, polar)
+        T = nearest_orthogonal(A).P
+        calls = []
+
+        def recording_polar(X):
+            calls.append(X)
+            return polar_factors(X)
+
+        monkeypatch.setattr(nearest, "polar_factors", recording_polar)
+        terms = _SandwichTerms(A)
         assert not terms.factored
+        assert len(calls) == 1
         op = build_sketch(kind, 8 * self.n, self.m, seed=4)
         P = nearest_sts_orthogonal(A, op).P
         assert _factored_terms(terms, op, _sketched_polar(A, op)) == _explicit_terms(
@@ -423,14 +463,65 @@ class TestSandwichTerms:
 
     def test_certificate_fields(self):
         A = self._matrix(False, 1.0)
-        polar = nearest_orthogonal(A)
-        T = polar.P
+        T = nearest_orthogonal(A).P
         op = build_sketch("srtt", 4 * self.n, self.m, seed=5)
-        got = _SandwichTerms(A, polar).certificate(op, _sketched_polar(A, op))
+        got = _SandwichTerms(A).certificate(op, _sketched_polar(A, op))
         want = empirical_epsilon(op, T)
         assert got.subspace_dim == want.subspace_dim == self.n
         assert got.sigma_min_sketched == pytest.approx(want.sigma_min_sketched, rel=1e-12)
         assert got.sigma_max_sketched == pytest.approx(want.sigma_max_sketched, rel=1e-12)
+
+
+class TestRowBlockedR:
+    @pytest.mark.parametrize("m", [50, 1000, _GRAM_ROWS])
+    def test_one_block_is_householder_qr(self, m):
+        # so nearest's H, and its outputs, are the ones polar_factors gives
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((m, 50)) * np.logspace(0, -10, 50)
+        assert np.array_equal(_row_blocked_r(A), householder_qr(A))
+        assert np.array_equal(_SandwichTerms(A).H, polar_factors(A).H)
+
+    @pytest.mark.parametrize("m", [_GRAM_ROWS + 1, 3 * _GRAM_ROWS + 5])
+    def test_blocks_give_the_r_of_a(self, m):
+        # R^T R = A^T A with diag(R) >= 0 fixes R; rows are scaled by
+        # their diagonal entry, which each column of A's grading sets
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((m, 30)) * np.logspace(0, -10, 30)
+        R = _row_blocked_r(A)
+        assert np.array_equal(R, np.triu(R)) and (np.diag(R) >= 0).all()
+        want = householder_qr(A)
+        scale = np.diag(want)[:, None]
+        np.testing.assert_allclose(R / scale, want / scale, rtol=0, atol=1e-14)
+        assert np.array_equal(_row_blocked_r(sp.csr_matrix(A)), R)
+
+    def test_wide_rejected(self):
+        with pytest.raises(ShapeError):
+            _row_blocked_r(np.ones((2, 5)))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_graded_h_against_mpmath(self, sparse):
+        # H = (A^T A)^(1/2) in 60 digits, over three row blocks; column
+        # grading to 1e10 leaves kappa(A D) small, so H stays at roundoff
+        # relative to each column's norm
+        mpmath = pytest.importorskip("mpmath")
+        m, n = 2 * _GRAM_ROWS + 7, 6
+        if sparse:
+            A = gen_sparse_conditioned(m, n, 0.05, 1e10, seed=4)
+            X = to_dense(A)
+        else:
+            rng = np.random.default_rng(4)
+            A = X = rng.standard_normal((m, n)) * np.logspace(0, -10, n)
+        with mpmath.workdps(60):
+            cols = [[mpmath.mpf(v) for v in X[:, j]] for j in range(n)]
+            gram = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(i + 1):
+                    gram[i, j] = gram[j, i] = mpmath.fdot(cols[i], cols[j])
+            lam, E = mpmath.eigsy(gram)
+            H = E * mpmath.diag([mpmath.sqrt(v) for v in lam]) * E.T
+            want = np.array(H.tolist(), dtype=float)
+        got = _SandwichTerms(A).H
+        assert np.max(np.abs(got - want) / np.linalg.norm(want, axis=0)) <= 1e-14
 
 
 class TestLossBounds:

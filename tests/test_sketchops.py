@@ -437,8 +437,21 @@ class TestApply:
 
     def test_dct_reference_is_orthonormal(self):
         for m in (5, 8, 13):
-            F = dct2_matrix(m)
+            F = dct2_matrix(np.arange(m), m)
             np.testing.assert_allclose(F.T @ F, np.eye(m), atol=1e-13)
+
+    def test_srtt_materialize_forms_sampled_rows_only(self):
+        # s x m arrays, not the m x m cosine matrix (32 MB per copy here)
+        s, m = 100, 2000
+        op = build_sketch("srtt", s, m, seed=1)
+        tracemalloc.start()
+        try:
+            S = op.materialize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (s, m)
+        assert peak < 4 * 8 * s * m
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=20, deadline=None)
