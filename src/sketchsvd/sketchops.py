@@ -39,11 +39,10 @@ sparse gaussian apply, on the draw's blocks and w threads, draws
 input and output, such an apply holds about ``budget`` entries per
 temporary (at least m) on any core count.  Every gaussian apply
 allocates its scratch on the calling thread, one slice per worker, so
-that none of it is left in a worker thread's malloc arena.  A dense gaussian
-apply casts the table into one float64 stream block of scratch, about
-``s * m / 8`` entries, on the calling thread, whose BLAS threads its
-products, unless
-numpy's BLAS reports one thread
+that none of it is left in a worker thread's malloc arena.  A dense
+gaussian apply casts the table into one float64 stream block of
+scratch, about ``s * m / 8`` entries, on the calling thread, whose BLAS
+threads its products, unless numpy's BLAS reports one thread
 (:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
 cut into two halves whose bounds depend on ``s`` alone, cast and
 multiplied on up to two threads that share the scratch.  Every
