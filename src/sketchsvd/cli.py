@@ -42,13 +42,12 @@ Conventions
 * ``--out PATH`` writes the CSV plus a ``PATH.jsonl`` mirror (one ``meta``
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
-* Desk-scale presets, measured on 2 cores with BLAS pinned to one thread:
-  ``spectrum`` 0.6 s at a 71 MB peak and ``nearest`` 1.7-1.9 s at 73 MB
-  (2.0 s at OpenBLAS's default thread count); ``ortho`` 49 s (48-66 s
-  over earlier runs, as the machine's load varies) and an 82 MB peak:
-  each gaussian operator streams its rows through its one sparse apply
-  and never holds its table, and the left factor's Gram matrix is summed
-  over row blocks of A.  Drawing those rows dominates ``ortho``'s time.
+* Desk-scale presets, one run each on 2 shared cores with BLAS pinned to
+  one thread: ``spectrum`` 1.1 s at a 71 MB peak, ``nearest`` 3.3 s at
+  72 MB and ``ortho`` 63 s at 78 MB (earlier runs, on a less loaded
+  machine, took 0.95 s, 1.8-2.3 s and 49 s).  Each gaussian operator of
+  ``ortho`` streams its rows through its one sparse apply and never holds
+  its table, and drawing those rows dominates its time.
   About 63 MB of each peak is the interpreter with numpy, scipy.sparse,
   scipy.io and scipy.linalg imported.  Full-scale presets
   are gated behind ``--xl``; pinned, ``ortho --preset xl --xl --reps 2``
@@ -59,8 +58,9 @@ Conventions
   sprand:37932,331,0.005,1e8``) it took 189 s at a 110 MB peak, with
   ``time_T_s`` 0.86 s.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
-  leaves ``nearest`` without full column rank), 3 numerical failure, 4
-  asserted bounds violated (only with ``--strict``).
+  leaves ``nearest`` without full column rank), 3 numerical failure
+  (including a LAPACK ``LinAlgError``), 4 asserted bounds violated (only
+  with ``--strict``).
 """
 
 import argparse
@@ -478,7 +478,8 @@ def main(argv=None):
             "nearest": cmd_nearest,
         }[args.command]
         return handler(args)
-    except NumericalError as exc:
+    # LinAlgError is a ValueError, but a failed LAPACK call is numerical
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

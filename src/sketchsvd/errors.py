@@ -2,8 +2,8 @@
 
 Input-side problems (bad shapes, violated preconditions, unreadable files)
 derive from ValueError; numerical failures discovered mid-computation derive
-from RuntimeError.  The CLI maps the former to exit code 2 and the latter to
-exit code 3.
+from RuntimeError.  The CLI maps the former to exit code 2 and the latter,
+with numpy's ``LinAlgError`` from a failed LAPACK call, to exit code 3.
 """
 
 

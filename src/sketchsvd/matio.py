@@ -15,6 +15,7 @@ carry the 1-based line number whenever scipy reports one.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -101,6 +102,14 @@ def write_csv(path_or_file, columns, rows, comments=()):
     _write_lines(path_or_file, lines)
 
 
+def _json_value(x):
+    """numpy scalars as Python values, and a NaN or infinity, which JSON
+    (RFC 8259) has no token for, as null."""
+    x = x.item() if isinstance(x, np.generic) else x
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_jsonl(path_or_file, records):
-    """Write one JSON object per line; numpy scalars become Python values."""
-    _write_lines(path_or_file, [json.dumps(r, default=lambda x: x.item()) for r in records])
+    """Write one JSON object per line, each value by :func:`_json_value`."""
+    records = [{k: _json_value(v) for k, v in r.items()} for r in records]
+    _write_lines(path_or_file, [json.dumps(r, allow_nan=False) for r in records])

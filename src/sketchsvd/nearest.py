@@ -23,11 +23,11 @@ work beyond the sketch ``S A``, and P itself is not formed.  Since
 
 Each is an n x n product, formed by SPD solves with H and H_s.  A and
 the R of its thin QR share H, so H comes from the
-:func:`~sketchsvd.densekernels.jacobi_svd` of an R computed over row
-blocks of A (the sequential variant of TSQR; Demmel, Grigori, Hoemmen &
-Langou, arXiv:0808.2664), and no dense copy of A, no Q and no T is
-formed.  This route loses about ``u * kappa(A D)``, D scaling each
-column of A to unit norm, and the explicit route (T from
+:func:`~sketchsvd.densekernels.jacobi_svd` of the R that
+:func:`~sketchsvd.densekernels.householder_qr` computes over row blocks
+of A, and no dense copy of A, no Q and no T is formed.  This route
+loses about ``u * kappa(A D)``, D scaling each column of A to unit norm,
+and the explicit route (T from
 :func:`~sketchsvd.densekernels.polar_factors`, P, the m x n differences
 and an apply of S to T) less.  Measured against a 60-digit reference
 on rotated input ``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch
@@ -47,14 +47,15 @@ from .densekernels import (
     PolarPair,
     _symmetric_factor,
     as_matrix,
+    householder_qr,
     jacobi_svd,
     polar_factors,
     spectral_norm,
     to_dense,
 )
-from .errors import PreconditionError, RankDeficiencyError, ShapeError
+from .errors import PreconditionError, RankDeficiencyError
 from .sketchops import _certificate, empirical_epsilon
-from .stssvd import _GRAM_ROWS, PASS_SLACK, _retained, sts_singular_values
+from .stssvd import PASS_SLACK, _retained, sts_singular_values
 
 
 @dataclass(frozen=True)
@@ -251,24 +252,6 @@ def _column_scaled_condition(R):
     return sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
 
 
-def _row_blocked_r(A):
-    """R of the thin QR of A (dense or sparse, m >= n), signed as
-    :func:`~sketchsvd.densekernels.householder_qr` signs it; for dense A
-    of at most ``_GRAM_ROWS`` rows, bitwise its result.
-
-    Each block of ``_GRAM_ROWS`` rows is densified alone and factored
-    stacked under the R of the rows before it, so no m x n array is
-    formed.
-    """
-    m, n = A.shape
-    if m < n:
-        raise ShapeError(f"the thin QR requires m >= n, got {m} x {n}")
-    R = np.empty((0, n))
-    for i0 in range(0, m, _GRAM_ROWS):
-        R = np.linalg.qr(np.vstack((R, to_dense(A[i0 : i0 + _GRAM_ROWS]))), mode="r")
-    return np.where(np.diag(R) < 0, -1.0, 1.0)[:, None] * R
-
-
 class _SandwichTerms:
     """The sandwich of one A and its orthogonal polar factor T against any
     number of sketched polar decompositions ``A = P H_s``, each given as
@@ -276,7 +259,8 @@ class _SandwichTerms:
     place that evaluates it.
 
     Built once per A from the H of its classical polar decomposition
-    ``A = T H``, taken from the R of :func:`_row_blocked_r`.  Where
+    ``A = T H``, taken from the row-blocked R of
+    :func:`~sketchsvd.densekernels.householder_qr`.  Where
     ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
     products of H and H_s, and neither T nor P is formed; elsewhere from
     T (by :func:`~sketchsvd.densekernels.polar_factors`), P, the m x n
@@ -285,7 +269,7 @@ class _SandwichTerms:
 
     def __init__(self, A):
         A = as_matrix(A)
-        f = jacobi_svd(_row_blocked_r(A))
+        f = jacobi_svd(householder_qr(A))
         self.H = _symmetric_factor(f.V, f.sigma)
         # A D and H D have the same Gram matrix, so the same condition
         self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA

@@ -28,6 +28,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dtrsm
 
 from .densekernels import (
+    _EPS,
+    _GRAM_ROWS,
     as_matrix,
     check_finite,
     householder_qr,
@@ -36,20 +38,11 @@ from .densekernels import (
 )
 from .errors import NumericalError, RankDeficiencyError, ShapeError, SketchRankWarning
 
-_EPS = np.finfo(np.float64).eps
-
 # sketched_qr's default column threshold
 _QR_RTOL = 1e-12
 
 # Absolute slack of every bound's pass flag, for roundoff in either side
 PASS_SLACK = 1e-10
-
-# Rows of A per block of _left_gram's back-product.  On 2 cores with BLAS
-# on one thread, 2048 and 8192 rows took the same time within noise (12.8
-# and 15.0 ms on sparse 20000 x 100, 793 and 774 ms on sparse 300000 x 300),
-# and 2048 holds a quarter of the memory (3.5 against 13.4 MB, 11.3 against
-# 40.9 MB traced, two blocks at a time).
-_GRAM_ROWS = 2048
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchsvd import (
     GenerationError, SketchRankWarning, cli, gen_sparse_conditioned, nearest,
     nearest_sts_orthogonal, read_matrix_market, sketchops, write_matrix_market,
 )
 from sketchsvd.cli import main
-from sketchsvd.stssvd import _GRAM_ROWS
+from sketchsvd.densekernels import _GRAM_ROWS
 
 
 def run(args):
@@ -389,6 +390,16 @@ class TestNearest:
             rc = run(["nearest", "--matrix", "randn:300,20", "--s", 10, "--reps", 1])
         assert rc == 2
         assert "full column rank" in capsys.readouterr().err
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, yet it reports a failed LAPACK call
+        def failing_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "solve", failing_solve)
+        rc = run(["nearest", "--matrix", "randn:300,20", "--s", "4n", "--reps", 1])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestRepetitionMemory:

@@ -207,6 +207,17 @@ def test_golden(name, tmp_path):
     _assert_matches(run_case(name, tmp_path), (GOLDEN / f"{name}.txt").read_text())
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[2]))
+def test_jsonl_is_strict_json(name, tmp_path):
+    run_case(name, tmp_path)
+    for line in (tmp_path / "out.csv.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_no_constant)
+
+
 def test_matching_tolerates_float_noise_only():
     want = "exit 0\n--- out.csv\n# d=15.5\ns,v,ok\n20,1.25,true\n40,2.5,false\n"
     _assert_matches(want.replace("1.25", "1.2500000001"), want)

@@ -17,6 +17,7 @@ from sketchsvd import (
     spectral_norm,
 )
 from sketchsvd import densekernels
+from sketchsvd.densekernels import _GRAM_ROWS
 from sketchsvd.cli import main
 import scipy.sparse as sp
 
@@ -37,8 +38,9 @@ class TestHouseholderQR:
         assert abs(R[1, 1]) <= 1e-13 * np.linalg.norm(X)
 
     def test_equals_sign_fixed_reduced_r(self):
-        # the R-only factorization skips Q but not one bit of R
-        for m, n in [(30, 5), (800, 50), (7, 7)]:
+        # the R-only factorization skips Q but not one bit of R, and a
+        # dense X of at most _GRAM_ROWS rows is one block
+        for m, n in [(30, 5), (800, 50), (7, 7), (_GRAM_ROWS, 50)]:
             X = np.random.default_rng(m).standard_normal((m, n))
             R = np.linalg.qr(X)[1]
             d = np.sign(np.diag(R))
@@ -58,9 +60,29 @@ class TestHouseholderQR:
             G = X.T @ X
             assert np.linalg.norm(R.T @ R - G) <= 1e-13 * np.linalg.norm(G)
 
+    @pytest.mark.parametrize("m", [_GRAM_ROWS + 1, 3 * _GRAM_ROWS + 5])
+    def test_blocks_give_the_r_of_a(self, m):
+        # R^T R = A^T A with diag(R) >= 0 fixes R; rows are scaled by
+        # their diagonal entry, which each column of A's grading sets
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((m, 30)) * np.logspace(0, -10, 30)
+        R = householder_qr(A)
+        assert np.array_equal(R, np.triu(R)) and (np.diag(R) >= 0).all()
+        want = np.linalg.qr(A, mode="r")
+        want *= np.sign(np.diag(want))[:, None]
+        scale = np.diag(want)[:, None]
+        np.testing.assert_allclose(R / scale, want / scale, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    @pytest.mark.parametrize("m", [1000, 2 * _GRAM_ROWS + 5])
+    def test_sparse_input_is_dense_input(self, m, fmt):
+        A = sp.random_array((m, 20), density=0.2, format=fmt, rng=m)
+        assert np.array_equal(householder_qr(A), householder_qr(A.toarray()))
+
     def test_wide_input_rejected(self):
-        with pytest.raises(ShapeError):
-            householder_qr(np.ones((2, 3)))
+        for X in (np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3)))):
+            with pytest.raises(ShapeError):
+                householder_qr(X)
 
 
 class TestJacobiSVD:

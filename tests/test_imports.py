@@ -1,8 +1,9 @@
 """Checks of the package's imports: no imported name goes unused,
 ``__all__`` lists each exported name once and only names that exist,
-every exported function has a reader outside its own module, the
-third-party packages imported are the declared dependencies, and a run
-loads no scipy submodule it does not call."""
+each module-level name is defined in one package module, every exported
+function has a reader outside its own module, the third-party packages
+imported are the declared dependencies, and a run loads no scipy
+submodule it does not call."""
 
 import ast
 import importlib
@@ -65,6 +66,28 @@ def test_all_names_resolve_once():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"{path.name}: __all__ names {missing} do not resolve"
     assert checked
+
+
+def _defined(tree):
+    """Each name a module-level ``def``, ``class`` or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_each_name_is_defined_once():
+    # a constant or helper another module needs is imported from the one
+    # module that defines it, so a change to it reaches every reader
+    homes = {}
+    for path in MODULES:
+        for name in set(_defined(ast.parse(path.read_text()))):
+            homes.setdefault(name, []).append(path.name)
+    twice = {name: where for name, where in homes.items() if len(where) > 1}
+    assert not twice, f"names defined in more than one module: {twice}"
 
 
 def test_every_exported_function_has_a_reader():

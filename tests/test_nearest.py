@@ -8,12 +8,10 @@ import scipy.sparse as sp
 from sketchsvd import (
     PreconditionError,
     RankDeficiencyError,
-    ShapeError,
     SketchRankWarning,
     build_sketch,
     empirical_epsilon,
     gen_sparse_conditioned,
-    householder_qr,
     nearest,
     nearest_orthogonal,
     nearest_sandwich_report,
@@ -25,12 +23,9 @@ from sketchsvd import (
     spectral_norm,
     sts_svd,
 )
-from sketchsvd.densekernels import to_dense
-from sketchsvd.nearest import (
-    _row_blocked_r, _SandwichTerms, _sketched_polar, loss_bounds,
-)
+from sketchsvd.densekernels import _GRAM_ROWS, to_dense
+from sketchsvd.nearest import _SandwichTerms, _sketched_polar, loss_bounds
 from sketchsvd.sketchops import KINDS
-from sketchsvd.stssvd import _GRAM_ROWS
 
 
 def rand_orthonormal(rng, m, n):
@@ -473,30 +468,15 @@ class TestSandwichTerms:
 
 
 class TestRowBlockedR:
+    """nearest's H, from the row-blocked R of householder_qr."""
+
     @pytest.mark.parametrize("m", [50, 1000, _GRAM_ROWS])
     def test_one_block_is_householder_qr(self, m):
-        # so nearest's H, and its outputs, are the ones polar_factors gives
+        # one block is the one-shot Householder R of polar_factors, so
+        # nearest's H, and its outputs, are the ones polar_factors gives
         rng = np.random.default_rng(m)
         A = rng.standard_normal((m, 50)) * np.logspace(0, -10, 50)
-        assert np.array_equal(_row_blocked_r(A), householder_qr(A))
         assert np.array_equal(_SandwichTerms(A).H, polar_factors(A).H)
-
-    @pytest.mark.parametrize("m", [_GRAM_ROWS + 1, 3 * _GRAM_ROWS + 5])
-    def test_blocks_give_the_r_of_a(self, m):
-        # R^T R = A^T A with diag(R) >= 0 fixes R; rows are scaled by
-        # their diagonal entry, which each column of A's grading sets
-        rng = np.random.default_rng(m)
-        A = rng.standard_normal((m, 30)) * np.logspace(0, -10, 30)
-        R = _row_blocked_r(A)
-        assert np.array_equal(R, np.triu(R)) and (np.diag(R) >= 0).all()
-        want = householder_qr(A)
-        scale = np.diag(want)[:, None]
-        np.testing.assert_allclose(R / scale, want / scale, rtol=0, atol=1e-14)
-        assert np.array_equal(_row_blocked_r(sp.csr_matrix(A)), R)
-
-    def test_wide_rejected(self):
-        with pytest.raises(ShapeError):
-            _row_blocked_r(np.ones((2, 5)))
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_graded_h_against_mpmath(self, sparse):

@@ -26,8 +26,9 @@ from sketchsvd import (
     sts_svd_via_qr,
     truncate,
 )
+from sketchsvd.densekernels import _GRAM_ROWS
 from sketchsvd.sketchops import KINDS
-from sketchsvd.stssvd import _GRAM_ROWS, _left_gram, _retained
+from sketchsvd.stssvd import _left_gram, _retained
 
 
 def rand_orthonormal(rng, m, n):
@@ -359,6 +360,18 @@ class TestViaQrRoute:
             direct = sts_svd(A, op)
             via_qr = sts_svd_via_qr(A, op)
             np.testing.assert_allclose(via_qr.theta, direct.theta, rtol=1e-8)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sketch_of_several_blocks(self, kind):
+        # s > _GRAM_ROWS: both R factors of sketched_qr come from the
+        # row-blocked QR, and Q stays sketch-orthonormal
+        m, n, s = 3000, 10, _GRAM_ROWS + 52
+        A = np.random.default_rng(7).standard_normal((m, n)) * np.logspace(0, -6, n)
+        op = build_sketch(kind, s, m, seed=8)
+        f = sts_svd_via_qr(A, op)
+        assert f.r == n
+        dense_checks(A, f, op)
+        np.testing.assert_allclose(f.theta, sts_svd(A, op).theta, rtol=1e-10)
 
     def test_rank_deficient_raises(self):
         rng = np.random.default_rng(5)
