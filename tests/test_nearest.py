@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from sketchsvd import (
     PreconditionError,
     RankDeficiencyError,
+    ShapeError,
     SketchRankWarning,
     build_sketch,
     empirical_epsilon,
@@ -477,6 +478,11 @@ class TestRowBlockedR:
         rng = np.random.default_rng(m)
         A = rng.standard_normal((m, 50)) * np.logspace(0, -10, 50)
         assert np.array_equal(_SandwichTerms(A).H, polar_factors(A).H)
+
+    def test_wide_rejected(self):
+        for A in (np.ones((2, 5)), sp.csr_matrix(np.ones((2, 5)))):
+            with pytest.raises(ShapeError):
+                _SandwichTerms(A)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_graded_h_against_mpmath(self, sparse):
