@@ -17,12 +17,11 @@ Commands
               sandwich_pass), with the sandwich checked at an asserted
               distortion and again at each repetition's measured one.
               ``time_P_s`` covers the sketch, its small SVD and the n x n
-              factor ``H_s``; the m x n ``P`` is formed, after it, only
-              where the sandwich takes its explicit route.  The meta
+              factor ``H_s``; the m x n ``P`` is never formed.  The meta
               record's ``time_T_s`` covers the R of A, summed over row
-              blocks, and the n x n factor H taken from it; the
-              classical factor ``T`` is formed, in that time, only on the
-              explicit route.
+              blocks, and the n x n factor H taken from it; the classical
+              factor ``T`` is formed, in that time, only on the explicit
+              route, for its certificate.
 ``gen``       write the matrix that ``--matrix`` and ``--seed`` name (seeded
               as below) to the Matrix Market file ``--out``.
 
@@ -352,11 +351,6 @@ def cmd_ortho(args):
                         f"{violations} bound violations at eps={eps:g}")
 
 
-def _sandwich_pass(dist_AP, dist_AT, eps):
-    lower, upper = sandwich_bounds(dist_AP, dist_AT, eps)
-    return lower.passed and upper.passed
-
-
 def cmd_nearest(args):
     _check_eps(args.eps)
     A, dims = _setup(args)
@@ -374,7 +368,8 @@ def cmd_nearest(args):
         # stated.
         return {"dist_A_P_2": report.dist_sketched, "dist_P_T_2": report.dist_between,
                 "time_P_s": secs, "epsilon_emp": report.epsilon_emp,
-                "sandwich_pass": _sandwich_pass(report.dist_sketched, dist_AT, args.eps),
+                "sandwich_pass": all(b.passed for b in sandwich_bounds(
+                    report.dist_sketched, dist_AT, args.eps)),
                 "sandwich_pass_emp": report.passed}
 
     raw = list(_repetitions(args, A, dims, rep))

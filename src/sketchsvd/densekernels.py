@@ -63,6 +63,15 @@ def to_dense(X):
     return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 
 
+def _column_norms(X):
+    """2-norms of the columns of a dense X, each column scaled to a largest
+    magnitude of 1 first, so that no square overflows or underflows."""
+    scale = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
+    X = X / np.where(scale > 0.0, scale, 1.0)
+    X *= X
+    return scale * np.sqrt(X.sum(axis=0))
+
+
 def check_finite(X, context="matrix"):
     data = X.data if sp.issparse(X) else X
     if data.size and not np.isfinite(data).all():

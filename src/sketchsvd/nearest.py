@@ -25,17 +25,16 @@ Each is an n x n product, formed by SPD solves with H and H_s.  A and
 the R of its thin QR share H, so H comes from the
 :func:`~sketchsvd.densekernels.jacobi_svd` of the R that
 :func:`~sketchsvd.densekernels.householder_qr` computes over row blocks
-of A, and no dense copy of A, no Q and no T is formed.  This route
-loses about ``u * kappa(A D)``, D scaling each column of A to unit norm,
-and the explicit route (T from
-:func:`~sketchsvd.densekernels.polar_factors`, P, the m x n differences
-and an apply of S to T) less.  Measured against a 60-digit reference
-on rotated input ``U diag(sigma) V^T`` (200 x 8, s = 6n, every sketch
-kind), the n x n certificate was at most 1.3e-13 from the one over the
-exact T at ``kappa(A) = 1e3``, and 4.9e-11 to 6.5e-11 at 1e6 and 2.1e-7
-to 8e-7 at 1e10, against 5.5e-13 to 4.8e-12 and 1.3e-8 to 8.1e-8 for
-the explicit one.  So the n x n route is taken only where ``kappa(A D) <= 1e3``,
-which column-graded input meets at any ``kappa(A)``.
+of A; no dense copy of A, no Q and no P is formed.  The distances lose
+about ``u * kappa(A)``, as the m x n differences do, since both inherit it
+from the SVD of ``S A``; the certificate loses about ``u * kappa(A D)``,
+D scaling each column of A to unit norm, and one over T less.  So where
+``kappa(A D) > 1e3`` the certificate takes the explicit route, T from
+:func:`~sketchsvd.densekernels.polar_factors` and an apply of S to T,
+for the certificate only.  Against a 60-digit reference on rotated
+200 x 8 input at ``kappa(A) = 1e6``, the n x n distances were at most
+1.1e-10 relative off (6.2e-11 for the m x n ones) and the n x n
+certificate 6.5e-11 (4.8e-12 over T); README.md gives the full sweep.
 """
 
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ import scipy.linalg
 
 from .densekernels import (
     PolarPair,
+    _column_norms,
     _symmetric_factor,
     as_matrix,
     householder_qr,
@@ -237,19 +237,16 @@ def sandwich_bounds(dist_AP, dist_AT, eps):
             _report("nearest_sandwich_upper", dist_AP, blowup * dist_AT + factor, eps))
 
 
-# Largest kappa(A D) at which the sandwich's terms come from n x n factors
-# (the module docstring gives the measured error at each condition).
+# Largest kappa(A D) at which the certificate comes from n x n factors
+# (README.md gives the measured error at each condition).
 _FACTORED_MAX_KAPPA = 1e3
 
 
 def _column_scaled_condition(R):
     """``kappa(R D)``, D scaling each column of R to unit norm; infinite for
     a zero column or none at all."""
-    norms = np.linalg.norm(R, axis=0)
-    if R.shape[1] == 0 or not norms.all():
-        return np.inf
-    sv = np.linalg.svd(R / norms, compute_uv=False)
-    return sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+    norms = _column_norms(R)
+    return np.linalg.cond(R / norms) if norms.size and norms.all() else np.inf
 
 
 class _SandwichTerms:
@@ -260,25 +257,24 @@ class _SandwichTerms:
 
     Built once per A from the H of its classical polar decomposition
     ``A = T H``, taken from the row-blocked R of
-    :func:`~sketchsvd.densekernels.householder_qr`.  Where
-    ``kappa(A D) <= _FACTORED_MAX_KAPPA`` every term comes from n x n
-    products of H and H_s, and neither T nor P is formed; elsewhere from
-    T (by :func:`~sketchsvd.densekernels.polar_factors`), P, the m x n
-    differences and an apply of S to T (see the module docstring).
+    :func:`~sketchsvd.densekernels.householder_qr`.  The distances come
+    from n x n products of H and H_s, and P is never formed.  So does the
+    certificate where ``kappa(A D) <= _FACTORED_MAX_KAPPA``; elsewhere it
+    takes the explicit route, T from
+    :func:`~sketchsvd.densekernels.polar_factors` and an apply of S to T,
+    for the certificate only (see the module docstring).
     """
 
     def __init__(self, A):
-        A = as_matrix(A)
         f = jacobi_svd(householder_qr(A))
         self.H = _symmetric_factor(f.V, f.sigma)
+        self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
         # A D and H D have the same Gram matrix, so the same condition
         self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA
         if self.factored:
             self.chol_H = scipy.linalg.cho_factor(self.H)
-            self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
         else:
-            self.A, self.Ad, self.T = A, to_dense(A), polar_factors(A).P
-            self.dist_AT = spectral_norm(self.Ad - self.T)
+            self.T = polar_factors(A).P
 
     def certificate(self, op, sketched):
         """The distortion of ``op`` over Range(A), which is Range(T)."""
@@ -295,14 +291,10 @@ class _SandwichTerms:
         :meth:`certificate`)."""
         if cert is None:
             cert = self.certificate(op, sketched)
-        if self.factored:
-            # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
-            HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
-            dist_AP = spectral_norm(self.H - HHs)
-            dist_PT = spectral_norm(HHs - np.eye(len(HHs)))
-        else:
-            P = sketched.P(self.A)
-            dist_AP, dist_PT = spectral_norm(self.Ad - P), spectral_norm(P - self.T)
+        # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
+        HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
+        dist_AP = spectral_norm(self.H - HHs)
+        dist_PT = spectral_norm(HHs - np.eye(len(HHs)))
         eps = cert.epsilon_emp
         return NearestSandwich(float(dist_AP), float(self.dist_AT), float(dist_PT),
                                float(eps), *sandwich_bounds(dist_AP, self.dist_AT, eps))
@@ -323,8 +315,9 @@ def nearest_sandwich_report(A, op, cert=None):
     inequality's derivation touches.
 
     The module docstring gives the n x n identities behind the distances
-    and the default certificate, and the condition past which they come
-    from the m x n matrices instead; T is formed only there.
+    and the default certificate, and the condition past which the
+    certificate comes from T and an apply of S to T instead; T is formed
+    only there, and P never.
     """
     A = as_matrix(A)
     sketched = _sketched_polar(A, op)

@@ -30,6 +30,7 @@ from scipy.linalg.blas import dtrsm
 from .densekernels import (
     _EPS,
     _GRAM_ROWS,
+    _column_norms,
     as_matrix,
     check_finite,
     householder_qr,
@@ -189,7 +190,7 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
     check_finite(SA, "sketched matrix")
     R1 = householder_qr(SA)
     resid = np.diag(R1)
-    dependent = np.flatnonzero(resid <= rtol * np.linalg.norm(Q, axis=0))
+    dependent = np.flatnonzero(resid <= rtol * _column_norms(Q))
     if dependent.size:
         j = int(dependent[0])
         raise RankDeficiencyError(

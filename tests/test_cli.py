@@ -14,7 +14,7 @@ import scipy.linalg
 
 from sketchsvd import (
     GenerationError, SketchRankWarning, cli, gen_sparse_conditioned, nearest,
-    nearest_sts_orthogonal, read_matrix_market, sketchops, write_matrix_market,
+    read_matrix_market, sketchops, write_matrix_market,
 )
 from sketchsvd.cli import main
 from sketchsvd.densekernels import _GRAM_ROWS
@@ -460,33 +460,28 @@ class TestRepetitionMemory:
         # n x n matrices only; P alone would be 8 m n = 16 MB
         assert extra < sketch + 8 * 16 * self.n**2
 
-    def test_explicit_nearest_forms_the_same_P(self, monkeypatch, tmp_path):
-        # rotated input at kappa 1e8 takes the explicit route, which forms P
-        # in each repetition, bitwise as nearest_sts_orthogonal does
+    def test_explicit_nearest_forms_no_P(self, monkeypatch, tmp_path):
+        # rotated input at kappa 1e8 takes the explicit route, which forms T
+        # once per run for its certificate, and P in no repetition
         m, n = 2000, 20
         rng = np.random.default_rng(3)
         U, V = (np.linalg.qr(rng.standard_normal(shape))[0]
                 for shape in [(m, n), (n, n)])
         write_matrix_market((U * np.logspace(0, -8, n)) @ V.T, tmp_path / "rot.mtx")
-        A = read_matrix_market(tmp_path / "rot.mtx")
-        built, formed = [], []
-        build_sketch, form_P = cli.build_sketch, nearest._SketchedPolar.P
+        calls, polar_factors = [], nearest.polar_factors
 
-        def recording_build_sketch(*args):
-            built.append(args)
-            return build_sketch(*args)
+        def no_P(*args):
+            raise AssertionError("the explicit route formed P")
 
-        def recording_P(self, A):
-            formed.append(form_P(self, A))
-            return formed[-1]
+        def recording_polar(X):
+            calls.append(X)
+            return polar_factors(X)
 
-        monkeypatch.setattr(cli, "build_sketch", recording_build_sketch)
-        monkeypatch.setattr(nearest._SketchedPolar, "P", recording_P)
+        monkeypatch.setattr(nearest._SketchedPolar, "P", no_P)
+        monkeypatch.setattr(nearest, "polar_factors", recording_polar)
         assert run(["nearest", "--matrix", tmp_path / "rot.mtx", "--sketch", "srtt",
                     "--s", "4n,8n", "--reps", 2, "--out", tmp_path / "n.csv"]) == 0
-        assert len(built) == len(formed) == 4
-        for args, P in zip(built, formed):
-            assert np.array_equal(P, nearest_sts_orthogonal(A, build_sketch(*args)).P)
+        assert len(calls) == 1
 
 
 class TestSeeding:

@@ -373,6 +373,35 @@ class TestNearestSandwich:
         assert got == pytest.approx(want, rel=0, abs=2e-11)
 
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rotated_distances_against_mpmath(self, kind):
+        # |A - T|, |A - P| and |P - T| over the exact T and P in 60 digits;
+        # at kappa(A) = 1e6 the n x n distances were at most 1.1e-10
+        # relative off, and the m x n ones 6.2e-11
+        mpmath = pytest.importorskip("mpmath")
+        m, n = 200, 8
+        rng = np.random.default_rng(7)
+        sigma = np.logspace(0, -6, n)
+        A = (rand_orthonormal(rng, m, n) * sigma) @ rand_orthonormal(rng, n, n).T
+        op = build_sketch(kind, 6 * n, m, seed=8)
+
+        def inv_root(G):
+            lam, E = mpmath.eigsy(G)
+            return E * mpmath.diag([1 / mpmath.sqrt(v) for v in lam]) * E.T
+
+        def norm_two(X):
+            return float(mpmath.sqrt(max(mpmath.eigsy(X.T * X, eigvals_only=True))))
+
+        with mpmath.workdps(60):
+            Am = mpmath.matrix(A.tolist())
+            SA = mpmath.matrix(op.materialize().tolist()) * Am
+            T, P = Am * inv_root(Am.T * Am), Am * inv_root(SA.T * SA)
+            want = [norm_two(Am - T), norm_two(Am - P), norm_two(P - T)]
+        r = nearest_sandwich_report(A, op)
+        got = [r.dist_classical, r.dist_sketched, r.dist_between]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 def _explicit_terms(A, op, T, P):
     """The sandwich's terms from the m x n matrices and an apply of S."""
     Ad = to_dense(A)
@@ -454,8 +483,42 @@ class TestSandwichTerms:
         assert len(calls) == 1
         op = build_sketch(kind, 8 * self.n, self.m, seed=4)
         P = nearest_sts_orthogonal(A, op).P
-        assert _factored_terms(terms, op, _sketched_polar(A, op)) == _explicit_terms(
-            A, op, T, P)
+        got = _factored_terms(terms, op, _sketched_polar(A, op))
+        want = _explicit_terms(A, op, T, P)
+        # the certificate is the one over T, to the bit; the distances come
+        # from n x n factors, within about u * kappa(A) of the m x n ones
+        assert got[3] == want[3]
+        np.testing.assert_allclose(got[:3], want[:3], rtol=2e-8, atol=0)
+
+    def test_explicit_repetition_holds_no_m_by_n_array(self):
+        # a repetition applies S to A and to T in column blocks and forms
+        # n x n matrices; P, A - P or P - T would take 8 m n = 16 MB each
+        m, n = 20_000, 100
+        rng = np.random.default_rng(5)
+        A = (rand_orthonormal(rng, m, n) * np.logspace(0, -8, n)) @ (
+            rand_orthonormal(rng, n, n).T)
+        terms = _SandwichTerms(A)
+        assert not terms.factored
+        op = build_sketch("srtt", 4 * n, m, seed=6)
+        tracemalloc.start()
+        try:
+            terms.report(op, _sketched_polar(A, op))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e10])
+    def test_route_and_certificate_do_not_depend_on_scale(self, kappa):
+        # kappa(A D) squares no entry, so it neither overflows nor underflows
+        A = self._matrix(False, kappa)
+        op = build_sketch("srtt", 4 * self.n, self.m, seed=7)
+        want = _SandwichTerms(A).certificate(op, _sketched_polar(A, op))
+        for scale in (2.0**-700, 2.0**600):
+            terms = _SandwichTerms(scale * A)
+            assert terms.factored
+            got = terms.certificate(op, _sketched_polar(scale * A, op))
+            assert got.epsilon_emp == pytest.approx(want.epsilon_emp, rel=1e-12)
 
     def test_certificate_fields(self):
         A = self._matrix(False, 1.0)

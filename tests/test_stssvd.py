@@ -396,6 +396,18 @@ class TestViaQrRoute:
         assert np.linalg.norm(SW.T @ SW - np.eye(f.r), 2) <= 1e-12
         assert f.r == sts_svd(A, op, rtol=1e-20).r == n
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [2.0**-700, 2.0**600])
+    def test_column_norms_do_not_overflow(self, scale):
+        # sketched_qr's |a_j| squares no entry, so a full-rank A is not
+        # called dependent where its squared entries would overflow
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((2000, 50))
+        op = build_sketch("srtt", 200, 2000, seed=9)
+        want = sts_svd_via_qr(A, op).theta
+        got = sts_svd_via_qr(scale * A, op).theta
+        np.testing.assert_allclose(got / scale, want, rtol=1e-13, atol=0)
+
     def test_coarse_rtol_truncates(self):
         # a truncation threshold above sketched_qr's 1e-12 must truncate
         # like sts_svd, not turn into sketched_qr's column test and raise
