@@ -41,21 +41,12 @@ Conventions
 * ``--out PATH`` writes the CSV plus a ``PATH.jsonl`` mirror (one ``meta``
   record, then one record per row); ``--raw`` adds ``PATH.raw.csv`` with
   per-repetition values.  Without ``--out`` the CSV goes to stdout.
-* Desk-scale presets, one run each on 2 shared cores with BLAS pinned to
-  one thread: ``spectrum`` 1.1 s at a 71 MB peak, ``nearest`` 3.3 s at
-  72 MB and ``ortho`` 63 s at 78 MB (earlier runs, on a less loaded
-  machine, took 0.95 s, 1.8-2.3 s and 49 s).  Each gaussian operator of
+* Presets: ``--preset desk`` runs at desk scale, and full-scale presets
+  are gated behind ``--xl``; ``nearest --preset xl`` also needs the
+  externally supplied collection file.  Each gaussian operator of
   ``ortho`` streams its rows through its one sparse apply and never holds
-  its table, and drawing those rows dominates its time.
-  About 63 MB of each peak is the interpreter with numpy, scipy.sparse,
-  scipy.io and scipy.linalg imported.  Full-scale presets
-  are gated behind ``--xl``; pinned, ``ortho --preset xl --xl --reps 2``
-  took 14 s at a 99 MB peak, and ``spectrum --preset xl --xl`` 81 s at
-  458 MB, 54 s of it the full SVD of the reference.  ``nearest --preset
-  xl`` needs the externally supplied collection file, which is gated; on
-  a generated stand-in of its shape (``gen --matrix
-  sprand:37932,331,0.005,1e8``) it took 189 s at a 110 MB peak, with
-  ``time_T_s`` 0.86 s.
+  its table, and drawing those rows dominates its time.  README.md gives
+  the measured times and peaks of the presets.
 * Exit codes: 0 success, 2 input error (including a sketch dimension that
   leaves ``nearest`` without full column rank), 3 numerical failure
   (including a LAPACK ``LinAlgError``), 4 asserted bounds violated (only
@@ -335,10 +326,11 @@ def cmd_ortho(args):
     def rep(op):
         G, secs = _timed(_gram_defect, A, op)
         return {"fro_loss": np.linalg.norm(G), "two_loss": np.linalg.norm(G, 2),
-                "time_s": secs}
+                "time_s": secs, "rank": len(G)}
 
     raw = list(_repetitions(args, A, dims, rep))
-    bounds = [loss_bounds(r["two_loss"], r["fro_loss"], A.shape[1], eps) for r in raw]
+    # W has the retained rank's columns, which may be fewer than A's
+    bounds = [loss_bounds(r["two_loss"], r["fro_loss"], r["rank"], eps) for r in raw]
     violations = sum(not (two.passed and fro.passed) for two, fro in bounds)
     bound_two, bound_fro = (b.rhs for b in bounds[0])
     columns = ["fro_loss", "two_loss", "time_s"]

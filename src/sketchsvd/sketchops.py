@@ -31,15 +31,18 @@ drawn a few at a time from the block's stream, cast to float64, applied
 and dropped, so an operator applied only to sparse input never holds its
 table, and each sparse apply draws its rows again, even after a dense one.
 
-One budget, ``_APPLY_ENTRIES`` = 640 000 entries, bounds the scratch of
+One budget, ``_APPLY_ENTRIES`` = 320 000 entries, bounds the scratch of
 the srtt apply and of the sparse gaussian apply: srtt transforms
 ``max(1, budget // m)`` columns at a time (densifying sparse ones), and a
 sparse gaussian apply, on the draw's blocks and w threads, draws
 ``max(1, budget // (w * m))`` rows per thread at a time.  Beyond its
 input and output, such an apply holds about ``budget`` entries per
-temporary (at least m) on any core count.  Every gaussian apply
-allocates its scratch on the calling thread, one slice per worker, so
-that none of it is left in a worker thread's malloc arena.  A dense
+temporary (at least m) on any core count.  The budget is sized to a
+core's L2 cache: at the desk ``ortho`` shape, m = 20000 on 2 workers,
+one worker's chunk of 8 rows in float32 and float64 takes 1.92 MB,
+within a 2 MiB L2.  Every gaussian apply allocates its scratch on the
+calling thread, one slice per worker, so that none of it is left in a
+worker thread's malloc arena.  A dense
 gaussian apply casts the table into one float64 stream block of
 scratch, about ``s * m / 8`` entries, on the calling thread, whose BLAS
 threads its products, unless numpy's BLAS reports one thread
@@ -70,8 +73,14 @@ KINDS = ("gaussian", "srtt", "sparse-sign")
 SPARSE_SIGN_NNZ_PER_COLUMN = 8
 
 # Entries per temporary of an srtt or sparse gaussian apply (the module
-# docstring gives the rule): 32 rows at the desk ortho shape's m = 20000.
-_APPLY_ENTRIES = 32 * 20_000
+# docstring gives the rule), sized so that one worker's chunk fits in a
+# core's L2 cache (2 MiB where it was measured): at the desk ortho shape,
+# m = 20000 on 2 workers, each worker draws 8 rows, 1.92 MB of float32
+# and float64.  Swept on 2 cores (BENCH_apply_budget.json), the
+# ortho-sparse-gaussian benchmark peaked at 81.0 MB at 32 * 20_000 and
+# 77.1 MB here; 8 * 20_000 and 4 * 20_000 peaked at 76.6 MB, but took a
+# sparse apply at s = 1600 7% and 18% longer than here.
+_APPLY_ENTRIES = 16 * 20_000
 
 # The constant c of the srtt and sparse-sign rule of sketch_dim.
 _DIM_CONSTANT = 1.0

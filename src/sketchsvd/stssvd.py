@@ -123,6 +123,8 @@ def sts_singular_values(A, op):
         raise ShapeError(f"operator acts on {op.m} rows, A has {A.shape[0]}")
     SA = op.apply(A)
     check_finite(SA, "sketched matrix")
+    # U is unread, but dgejsv without it (JOBU='N') fails the factored/explicit
+    # and loss-tie agreement tests on graded input at kappa 1e10
     f = jacobi_svd(SA)
     return f.sigma, f.V
 

@@ -309,6 +309,18 @@ class TestOrtho:
                       "--s", 10, "--reps", 1])
         assert rc == 0
 
+    def test_frobenius_bound_at_retained_rank(self, tmp_path):
+        # sts_svd keeps r = 7 of the Cauchy matrix's 200 columns at s = 60,
+        # so W has 7 columns and its Frobenius bound at eps = 0.5 is
+        # sqrt(7) * eps/(1-eps), not sqrt(200) * eps/(1-eps)
+        out = tmp_path / "ortho.csv"
+        rc = run(["ortho", "--matrix", "cauchy:200", "--sketch", "srtt",
+                  "--s", 60, "--reps", 1, "--out", out])
+        assert rc == 0
+        assert "bound_fro=2.64575 " in out.read_text().splitlines()[0]
+        meta = json.loads((tmp_path / "ortho.csv.jsonl").read_text().splitlines()[0])
+        assert meta["bound_fro"] == pytest.approx(np.sqrt(7.0), rel=1e-15)
+
 
 class TestNearest:
     def test_columns_and_sandwich(self, tmp_path):

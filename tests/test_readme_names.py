@@ -1,11 +1,13 @@
-"""The package names README.md quotes must resolve.
+"""The package names README.md quotes must resolve, and the measurement
+files it and the package cite must exist.
 
 Every backticked ``module.name`` whose module is a package module must be
 an attribute of that module (a dotted chain such as
 ``nearest._SandwichTerms.report`` is followed to its end), or a per-layer
 metric that ``BENCHMARK.json`` declares, such as
-``densekernels.small_svd_s``.  These tests only read README.md and
-BENCHMARK.json.
+``densekernels.small_svd_s``.  Every ``BENCH_*.json`` that README.md or a
+package module names must be a file at the repository root.  These tests
+only read README.md, BENCHMARK.json and the package's sources.
 """
 
 import functools
@@ -29,6 +31,12 @@ def _quoted_names():
     return sorted({match.groups() for span in spans for match in NAME.finditer(span)})
 
 
+def _cited_bench_files():
+    texts = [(REPO / "README.md").read_text()]
+    texts += [p.read_text() for p in sorted((REPO / "src" / "sketchsvd").glob("*.py"))]
+    return sorted({name for text in texts for name in re.findall(r"BENCH_\w+\.json", text)})
+
+
 def _layer_metrics():
     path = REPO / "BENCHMARK.json"
     if not path.is_file():
@@ -50,3 +58,12 @@ def test_readme_name_resolves(module, name):
         functools.reduce(getattr, name.split("."), obj)
     except AttributeError:
         pytest.fail(f"README.md names `{module}.{name}`, which does not resolve")
+
+
+def test_readme_cites_bench_files():
+    assert _cited_bench_files()
+
+
+@pytest.mark.parametrize("name", _cited_bench_files())
+def test_cited_bench_file_exists(name):
+    assert (REPO / name).is_file(), f"{name} is cited but not at the repository root"

@@ -285,7 +285,7 @@ class TestApply:
         return peak - out.nbytes
 
     def test_gaussian_sparse_apply_within_budget(self, monkeypatch):
-        # at m = 100000 each of two workers draws 3 rows at a time, not 16:
+        # at m = 100000 each of two workers draws 1 row at a time, not 8:
         # about the budget in float32 and in float64
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
         m = 100_000
@@ -293,17 +293,33 @@ class TestApply:
         op = build_sketch("gaussian", 128, m, seed=41)
         assert self._scratch_peak(op, X) < 1.5 * 12 * _APPLY_ENTRIES
 
+    def test_gaussian_sparse_apply_fits_l2_at_desk_shape(self, monkeypatch):
+        # the desk ortho shape on two workers: each draws 8 rows of 20000
+        # at a time, 1.92 MB of float32 and float64 that fit a 2 MiB L2;
+        # with the transposed input that is about 4.1 MB beyond the output
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        m = 20_000
+        X = sp.random_array((m, 100), density=0.01, rng=44, format="csr")
+        op = build_sketch("gaussian", 1200, m, seed=45)
+        assert self._scratch_peak(op, X) < 5e6
+        assert op._dense is None
+
     @pytest.mark.parametrize("fmt", ["csc", "dense"])
     def test_srtt_apply_within_budget(self, fmt):
-        # at m = 100000 the transform runs on 6 columns at a time, not on
-        # 40 or 64: the densified block and its signed copy, transformed in
-        # place, hold about the budget each
+        # at m = 100000 the transform runs on 3 columns at a time, not on
+        # 40: the densified block, its signed copy and its transform hold
+        # 8 bytes per entry of the block each.  Beyond them, apply copies
+        # sparse input to CSR (as_matrix) and the srtt path back to CSC,
+        # a 4-byte row pointer and 12 bytes per nonzero: about 0.5 MB here,
+        # whatever the budget.  2% covers the arrays of s rows
         m = 100_000
         X = sp.random_array((m, 40), density=1e-3, rng=42, format="csc")
+        input_copies = 4 * m + 2 * 12 * X.nnz
         if fmt == "dense":
-            X = X.toarray()
+            X, input_copies = X.toarray(), 0
         op = build_sketch("srtt", 200, m, seed=43)
-        assert self._scratch_peak(op, X) < 3 * 8 * _APPLY_ENTRIES
+        temporaries = 3 * 8 * (_APPLY_ENTRIES // m) * m
+        assert self._scratch_peak(op, X) < 1.02 * (temporaries + input_copies)
 
     @pytest.mark.parametrize("blas", [1, 2])
     def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
