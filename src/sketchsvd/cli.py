@@ -19,9 +19,9 @@ Commands
               ``time_P_s`` covers the sketch, its small SVD and the n x n
               factor ``H_s``; the m x n ``P`` is never formed.  The meta
               record's ``time_T_s`` covers the R of A, summed over row
-              blocks, and the n x n factor H taken from it; the classical
-              factor ``T`` is formed, in that time, only on the explicit
-              route, for its certificate.
+              blocks, and the n x n factor H taken from it; only the
+              explicit route adds an orthonormal basis of Range(A), for
+              its certificate.
 ``gen``       write the matrix that ``--matrix`` and ``--seed`` name (seeded
               as below) to the Matrix Market file ``--out``.
 

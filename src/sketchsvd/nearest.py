@@ -6,10 +6,9 @@ Given a full-column-rank A and a sketch operator S, the nearest matrix with
 the factorization ``A = W diag(theta) V.T`` (the randomized polar
 decomposition ``A = P H_s`` with ``H_s = V diag(theta) V.T``).  The
 classical problem's solution ``T`` comes from the ordinary polar
-decomposition ``A = T H``.
-Every bound this module reports is evaluated at a measured distortion
-``epsilon_emp``, so the pass flags are deterministic over the audited
-subspace.
+decomposition ``A = T H``.  Every bound this module reports is evaluated
+at a measured distortion ``epsilon_emp``, so the pass flags are
+deterministic over the audited subspace.
 
 The sandwich's distances and its certificate over Range(A) need no m-sized
 work beyond the sketch ``S A``, and P itself is not formed.  Since
@@ -28,13 +27,13 @@ the R of its thin QR share H, so H comes from the
 of A; no dense copy of A, no Q and no P is formed.  The distances lose
 about ``u * kappa(A)``, as the m x n differences do, since both inherit it
 from the SVD of ``S A``; the certificate loses about ``u * kappa(A D)``,
-D scaling each column of A to unit norm, and one over T less.  So where
-``kappa(A D) > 1e3`` the certificate takes the explicit route, T from
-:func:`~sketchsvd.densekernels.polar_factors` and an apply of S to T,
-for the certificate only.  Against a 60-digit reference on rotated
-200 x 8 input at ``kappa(A) = 1e6``, the n x n distances were at most
-1.1e-10 relative off (6.2e-11 for the m x n ones) and the n x n
-certificate 6.5e-11 (4.8e-12 over T); README.md gives the full sweep.
+D scaling each column of A to unit norm, and one over an orthonormal
+basis of Range(A) less.  So where ``kappa(A D) > 1e3`` the certificate
+takes the explicit route, :func:`~sketchsvd.sketchops.empirical_epsilon`
+over ``range_basis(A, rtol=0.0)``: ``sigma(S Q W) = sigma(S Q)`` for any
+orthogonal W, so any orthonormal basis of Range(A) gives T's
+certificate, and ``rtol=0.0`` keeps all n directions, as T does.
+README.md gives the errors measured against a 60-digit reference.
 """
 
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import densekernels
 from .densekernels import (
     PolarPair,
     _column_norms,
@@ -49,7 +49,7 @@ from .densekernels import (
     as_matrix,
     householder_qr,
     jacobi_svd,
-    polar_factors,
+    range_basis,
     spectral_norm,
     to_dense,
 )
@@ -159,7 +159,7 @@ def nearest_sts_orthogonal(A, op):
 def nearest_orthogonal(A):
     """Nearest matrix with orthonormal columns to A (both classical norms);
     the orthogonal factor of the polar decomposition."""
-    return polar_factors(A)
+    return densekernels.polar_factors(A)
 
 
 def _loss_factor(eps):
@@ -194,12 +194,14 @@ def orthogonality_report(P, op, cert):
     P = to_dense(as_matrix(P))
     n = P.shape[1]
     eps = cert.epsilon_emp
+    # both Gram defects are symmetric: the spectral norm is max |eig|
     gram = P.T @ P - np.eye(n)
-    gram_two = np.linalg.norm(gram, 2)
+    lam = np.linalg.eigvalsh(gram)
+    gram_two = np.abs(lam).max(initial=0.0)
     gram_fro = np.linalg.norm(gram)
     SP = op.apply(P)
     sgram = SP.T @ SP - np.eye(n)
-    sgram_two = np.linalg.norm(sgram, 2)
+    sgram_two = np.abs(np.linalg.eigvalsh(sgram)).max(initial=0.0)
     sgram_fro = np.linalg.norm(sgram)
 
     is_orthonormal = gram_two <= 1e-6
@@ -215,7 +217,7 @@ def orthogonality_report(P, op, cert):
     if is_s_orthonormal:
         reports.extend(loss_bounds(gram_two, gram_fro, n, eps))
         # |P - polar factor|_2 = max|sigma_i(P) - 1|, sigma^2 = 1 + eig(gram)
-        sigma = np.sqrt(1.0 + np.linalg.eigvalsh(gram))
+        sigma = np.sqrt(1.0 + lam)
         dist = np.abs(sigma - 1.0).max(initial=0.0)
         reports.append(_report("dist_to_orthonormal_upper", dist, _loss_factor(eps), eps))
         reports.append(_report("dist_to_orthonormal_lower",
@@ -257,12 +259,11 @@ class _SandwichTerms:
 
     Built once per A from the H of its classical polar decomposition
     ``A = T H``, taken from the row-blocked R of
-    :func:`~sketchsvd.densekernels.householder_qr`.  The distances come
-    from n x n products of H and H_s, and P is never formed.  So does the
-    certificate where ``kappa(A D) <= _FACTORED_MAX_KAPPA``; elsewhere it
-    takes the explicit route, T from
-    :func:`~sketchsvd.densekernels.polar_factors` and an apply of S to T,
-    for the certificate only (see the module docstring).
+    :func:`~sketchsvd.densekernels.householder_qr`; neither T nor P is
+    formed.  The distances come from n x n products of H and H_s, and so
+    does the certificate where ``kappa(A D) <= _FACTORED_MAX_KAPPA``;
+    elsewhere it is measured over ``range_basis(A, rtol=0.0)`` (see the
+    module docstring).
     """
 
     def __init__(self, A):
@@ -274,12 +275,12 @@ class _SandwichTerms:
         if self.factored:
             self.chol_H = scipy.linalg.cho_factor(self.H)
         else:
-            self.T = polar_factors(A).P
+            self.basis = range_basis(A, rtol=0.0)
 
     def certificate(self, op, sketched):
         """The distortion of ``op`` over Range(A), which is Range(T)."""
         if not self.factored:
-            return empirical_epsilon(op, self.T)
+            return empirical_epsilon(op, self.basis)
         # sigma(S T) = sigma(H_s H^-1) = sigma(H^-1 H_s)
         sv = np.linalg.svd(scipy.linalg.cho_solve(self.chol_H, sketched.H),
                            compute_uv=False)
@@ -307,17 +308,13 @@ def nearest_sandwich_report(A, op, cert=None):
     (1+eps)/(1-eps) |A - T| + eps/(1-eps)`` for the sketch-orthogonal
     minimizer P and the classical minimizer T at ``eps = epsilon_emp``.
 
-    When ``cert`` is omitted the distortion is measured over Range(T).
+    When ``cert`` is omitted the distortion is measured over Range(A).
     The sketch-orthogonal minimizer exists only for full-column-rank A,
-    and then T is an orthonormal basis of Range(A), which also holds
-    ``A - T`` and ``T - Q_T`` (``Q_T = nearest_sts_orthogonal(T, op).P``,
-    the sketch-orthogonal polar factor of T): every subspace the
-    inequality's derivation touches.
-
-    The module docstring gives the n x n identities behind the distances
-    and the default certificate, and the condition past which the
-    certificate comes from T and an apply of S to T instead; T is formed
-    only there, and P never.
+    and then Range(A) = Range(T), which also holds ``A - T`` and
+    ``T - Q_T`` (``Q_T = nearest_sts_orthogonal(T, op).P``, the
+    sketch-orthogonal polar factor of T): every subspace the
+    inequality's derivation touches.  The module docstring gives how the
+    distances and that certificate are computed; neither T nor P is formed.
     """
     A = as_matrix(A)
     sketched = _sketched_polar(A, op)

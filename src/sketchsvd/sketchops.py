@@ -336,6 +336,9 @@ class SketchOperator:
         vector = not sp.issparse(X) and np.ndim(X) == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
+        elif sp.issparse(X):
+            # each kind converts it once, to the format it reads
+            X = X.astype(np.float64, copy=False)
         else:
             X = as_matrix(X)
         if X.shape[0] != self.m:
@@ -345,7 +348,7 @@ class SketchOperator:
         if self.kind == "gaussian":
             out = self._apply_gaussian(X)
         elif self.kind == "sparse-sign":
-            out = self._sparse @ X
+            out = self._sparse @ (X.tocsr() if sp.issparse(X) else X)
             if sp.issparse(out):
                 out = out.toarray()
         else:
@@ -386,7 +389,7 @@ class SketchOperator:
 
             _on_streams(product, chunks, workers)
             return out
-        Xt = X.T.tocsr()
+        Xt = X.tocsc().T  # the CSR of X^T; CSC input is not copied
         workers = _pool_workers(self.s, m, len(blocks))
         rows = max(1, _APPLY_ENTRIES // (workers * m))
         scale = np.float32(math.sqrt(self.s))

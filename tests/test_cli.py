@@ -473,24 +473,25 @@ class TestRepetitionMemory:
         assert extra < sketch + 8 * 16 * self.n**2
 
     def test_explicit_nearest_forms_no_P(self, monkeypatch, tmp_path):
-        # rotated input at kappa 1e8 takes the explicit route, which forms T
-        # once per run for its certificate, and P in no repetition
+        # rotated input at kappa 1e8 takes the explicit route, which forms an
+        # orthonormal basis of Range(A) once per run for its certificate,
+        # and P in no repetition
         m, n = 2000, 20
         rng = np.random.default_rng(3)
         U, V = (np.linalg.qr(rng.standard_normal(shape))[0]
                 for shape in [(m, n), (n, n)])
         write_matrix_market((U * np.logspace(0, -8, n)) @ V.T, tmp_path / "rot.mtx")
-        calls, polar_factors = [], nearest.polar_factors
+        calls, range_basis = [], nearest.range_basis
 
         def no_P(*args):
             raise AssertionError("the explicit route formed P")
 
-        def recording_polar(X):
-            calls.append(X)
-            return polar_factors(X)
+        def recording_basis(*args, **kwargs):
+            calls.append(args)
+            return range_basis(*args, **kwargs)
 
         monkeypatch.setattr(nearest._SketchedPolar, "P", no_P)
-        monkeypatch.setattr(nearest, "polar_factors", recording_polar)
+        monkeypatch.setattr(nearest, "range_basis", recording_basis)
         assert run(["nearest", "--matrix", tmp_path / "rot.mtx", "--sketch", "srtt",
                     "--s", "4n,8n", "--reps", 2, "--out", tmp_path / "n.csv"]) == 0
         assert len(calls) == 1

@@ -442,11 +442,11 @@ class TestSandwichTerms:
     @pytest.mark.parametrize("kappa", [1.0, 1e10])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_factored_route_forms_no_T(self, monkeypatch, sparse, kappa):
-        def no_polar(*args):
-            raise AssertionError("the factored route called polar_factors")
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the factored route called range_basis")
 
         A = self._matrix(sparse, kappa)
-        monkeypatch.setattr(nearest, "polar_factors", no_polar)
+        monkeypatch.setattr(nearest, "range_basis", no_basis)
         assert _SandwichTerms(A).factored
         op = build_sketch("srtt", 4 * self.n, self.m, seed=6)
         assert nearest_sandwich_report(A, op).passed
@@ -467,28 +467,43 @@ class TestSandwichTerms:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rotated_ill_conditioned_takes_explicit_route(self, kind, monkeypatch):
-        rng = np.random.default_rng(3)
-        U = rand_orthonormal(rng, self.m, self.n)
-        A = (U * np.logspace(0, -8, self.n)) @ rand_orthonormal(rng, self.n, self.n).T
-        T = nearest_orthogonal(A).P
         calls = []
 
-        def recording_polar(X):
-            calls.append(X)
-            return polar_factors(X)
+        def recording_basis(*args, **kwargs):
+            calls.append(args)
+            return range_basis(*args, **kwargs)
 
-        monkeypatch.setattr(nearest, "polar_factors", recording_polar)
-        terms = _SandwichTerms(A)
-        assert not terms.factored
-        assert len(calls) == 1
+        monkeypatch.setattr(nearest, "range_basis", recording_basis)
         op = build_sketch(kind, 8 * self.n, self.m, seed=4)
-        P = nearest_sts_orthogonal(A, op).P
-        got = _factored_terms(terms, op, _sketched_polar(A, op))
-        want = _explicit_terms(A, op, T, P)
-        # the certificate is the one over T, to the bit; the distances come
-        # from n x n factors, within about u * kappa(A) of the m x n ones
-        assert got[3] == want[3]
-        np.testing.assert_allclose(got[:3], want[:3], rtol=2e-8, atol=0)
+        for kappa in (1e4, 1e8, 1e12):
+            rng = np.random.default_rng(3)
+            U = rand_orthonormal(rng, self.m, self.n)
+            A = (U * np.logspace(0, -np.log10(kappa), self.n)) @ (
+                rand_orthonormal(rng, self.n, self.n).T)
+            calls.clear()
+            terms = _SandwichTerms(A)
+            assert not terms.factored
+            assert len(calls) == 1
+            got = _factored_terms(terms, op, _sketched_polar(A, op))
+            want = _explicit_terms(A, op, nearest_orthogonal(A).P,
+                                   nearest_sts_orthogonal(A, op).P)
+            # the certificate is the one over range_basis(A, rtol=0.0), to
+            # the bit, and the one over T up to rounding, since
+            # sigma(S Q W) = sigma(S Q) for orthogonal W; the distances come
+            # from n x n factors, within about u * kappa(A) of the m x n ones
+            basis = range_basis(A, rtol=0.0)
+            assert got[3] == empirical_epsilon(op, basis).epsilon_emp
+            assert got[3] == pytest.approx(want[3], rel=1e-13, abs=0)
+            np.testing.assert_allclose(got[:3], want[:3], rtol=2e-16 * kappa, atol=0)
+
+    def test_explicit_basis_keeps_every_direction(self):
+        # past 1 / (m u), where range_basis's default cutoff would trim the
+        # basis, the audited subspace is still all of Range(A), as Range(T) is
+        rng = np.random.default_rng(8)
+        A = (rand_orthonormal(rng, self.m, self.n) * np.logspace(0, -14, self.n)) @ (
+            rand_orthonormal(rng, self.n, self.n).T)
+        assert range_basis(A).shape[1] < self.n
+        assert _SandwichTerms(A).basis.shape == (self.m, self.n)
 
     def test_explicit_repetition_holds_no_m_by_n_array(self):
         # a repetition applies S to A and to T in column blocks and forms

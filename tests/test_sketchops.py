@@ -308,18 +308,31 @@ class TestApply:
     def test_srtt_apply_within_budget(self, fmt):
         # at m = 100000 the transform runs on 3 columns at a time, not on
         # 40: the densified block, its signed copy and its transform hold
-        # 8 bytes per entry of the block each.  Beyond them, apply copies
-        # sparse input to CSR (as_matrix) and the srtt path back to CSC,
-        # a 4-byte row pointer and 12 bytes per nonzero: about 0.5 MB here,
-        # whatever the budget.  2% covers the arrays of s rows
+        # 8 bytes per entry of the block each, and CSC input is read in
+        # place.  2% covers the arrays of s rows
         m = 100_000
         X = sp.random_array((m, 40), density=1e-3, rng=42, format="csc")
-        input_copies = 4 * m + 2 * 12 * X.nnz
         if fmt == "dense":
-            X, input_copies = X.toarray(), 0
+            X = X.toarray()
         op = build_sketch("srtt", 200, m, seed=43)
         temporaries = 3 * 8 * (_APPLY_ENTRIES // m) * m
-        assert self._scratch_peak(op, X) < 1.02 * (temporaries + input_copies)
+        assert self._scratch_peak(op, X) < 1.02 * temporaries
+
+    @pytest.mark.parametrize("kind", ["srtt", "gaussian"])
+    def test_csc_input_copied_no_more_than_csr(self, monkeypatch, kind):
+        # each kind converts sparse input once, to the format it reads:
+        # srtt reads CSC, and the gaussian apply reads the CSR of X^T, which
+        # is CSC input transposed in place
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        m = 100_000
+        X = sp.random_array((m, 40), density=0.01, rng=46, format="csr")
+        op = build_sketch(kind, 200, m, seed=47)
+        outs, peaks = [], []
+        for Y in (X, X.tocsc()):
+            peaks.append(self._scratch_peak(op, Y))
+            outs.append(op.apply(Y))
+        assert peaks[1] <= peaks[0]
+        assert np.array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("blas", [1, 2])
     def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
