@@ -391,24 +391,58 @@ def cmd_gen(args):
 
 
 def _add_matrix(p, required):
+    default = "" if required else " (default: the preset's)"
     p.add_argument("--matrix", required=required,
-                   help="cauchy:N | sprand:M,N,DENSITY,KAPPA | randn:M,N | file.mtx")
-    p.add_argument("--seed", type=int, default=0)
+                   help="matrix source: cauchy:N | sprand:M,N,DENSITY,KAPPA | "
+                   f"randn:M,N | file.mtx{default}")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed, whose child 0 seeds a random matrix "
+                   "source (default 0)")
 
 
 def _add_common(p, strict):
     _add_matrix(p, required=False)
-    p.add_argument("--sketch", choices=KINDS, default=None)
-    p.add_argument("--s", default=None, help="comma list; integers or Kn multiples")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--raw", action="store_true")
-    p.add_argument("--xl", action="store_true")
+    p.add_argument("--sketch", choices=KINDS, default=None,
+                   help="sketch kind (default: the preset's, else srtt)")
+    p.add_argument("--s", default=None,
+                   help="sketch dimensions, a comma list of integers or Kn "
+                   "multiples of the column count (default: the preset's, "
+                   "else the s rule at --eps and --delta)")
+    p.add_argument("--eps", type=float, default=0.5,
+                   help="asserted distortion, in (0, 1), for the bound checks "
+                   "and the target of the s rule (default 0.5)")
+    p.add_argument("--delta", type=float, default=1e-6,
+                   help="failure probability the s rule targets (default 1e-6)")
+    p.add_argument("--reps", type=int, default=None,
+                   help="repetitions per sketch dimension, each with its own "
+                   "operator (default: the preset's, else 50)")
+    p.add_argument("--out", default=None,
+                   help="CSV path, also written as PATH.jsonl (default: CSV "
+                   "to stdout)")
+    p.add_argument("--raw", action="store_true",
+                   help="also write per-repetition values to PATH.raw.csv "
+                   "(needs --out)")
+    p.add_argument("--xl", action="store_true",
+                   help="confirm a full-scale preset (--preset xl)")
     if strict:
-        p.add_argument("--strict", action="store_true")
-    p.add_argument("--preset", choices=["desk", "xl"], default=None)
+        p.add_argument("--strict", action="store_true",
+                       help="exit 4 when a checked bound is violated (default: "
+                       "count violations in the output)")
+    p.add_argument("--preset", choices=["desk", "xl"], default=None,
+                   help="fill unset options from the desk-scale or full-scale "
+                   "preset (default: none)")
+
+
+# Subcommand -> the line ``sketchsvd --help`` lists it with.
+_COMMANDS = {
+    "spectrum": "sketch singular values against full and iterative reference "
+                "spectra",
+    "ortho": "orthogonality loss of the sketch-orthonormal left factor, bounds "
+             "checked at --eps",
+    "nearest": "distances to the sketch-orthogonal and classical nearest "
+               "matrices, sandwich checked at --eps",
+    "gen": "write the matrix --matrix names as Matrix Market",
+}
 
 
 def _parser():
@@ -419,10 +453,11 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "ortho", "nearest"):
-        _add_common(sub.add_parser(name), strict=name != "spectrum")
-    g = sub.add_parser("gen", help="write the matrix --matrix names as Matrix Market")
+        _add_common(sub.add_parser(name, help=_COMMANDS[name]),
+                    strict=name != "spectrum")
+    g = sub.add_parser("gen", help=_COMMANDS["gen"])
     _add_matrix(g, required=True)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", required=True, help="Matrix Market file to write")
     return parser
 
 

@@ -29,8 +29,22 @@ _EPS = np.finfo(np.float64).eps
 _GRAM_ROWS = 2048
 
 
+def require_real(X):
+    """``X`` (as an ndarray if it has no dtype) once its dtype is found
+    real: a cast to float64 would drop the imaginary part of complex input
+    with only a ``ComplexWarning``, so complex input raises
+    ``PreconditionError`` naming its dtype.  Integer and bool input pass.
+    Reads the dtype alone, so it copies nothing that has one."""
+    if not hasattr(X, "dtype"):
+        X = np.asarray(X)
+    if X.dtype.kind == "c":
+        raise PreconditionError(f"expected real input, got dtype {X.dtype}")
+    return X
+
+
 def as_matrix(X):
     """Normalize ``X`` to a 2-d float64 ndarray or CSR matrix."""
+    X = require_real(X)
     if sp.issparse(X):
         return X.tocsr().astype(np.float64, copy=False)
     A = np.asarray(X, dtype=np.float64)
@@ -135,7 +149,7 @@ def jacobi_svd(X):
         If LAPACK reports that the Jacobi iteration did not converge; the
         message carries its ``info`` code.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(require_real(X), dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("jacobi_svd expects a 2-d array")
     if X.size and not np.isfinite(X).all():

@@ -12,9 +12,9 @@ class ShapeError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """An input violates a documented precondition (e.g. non-orthonormal
-    basis, zero column, matrix that is neither orthonormal nor
-    sketch-orthonormal)."""
+    """An input violates a documented precondition (e.g. complex entries,
+    non-orthonormal basis, zero column, matrix that is neither orthonormal
+    nor sketch-orthonormal)."""
 
 
 class RankDeficiencyError(ValueError):

@@ -57,6 +57,7 @@ under a lock, and safe to share across threads.
 """
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .densekernels import as_matrix, blas_threads
+from .densekernels import as_matrix, blas_threads, require_real
 from .errors import PreconditionError, ShapeError
 
 KINDS = ("gaussian", "srtt", "sparse-sign")
@@ -267,6 +268,14 @@ def dct2_matrix(k, m):
     return F
 
 
+def _integer(value, name, error):
+    """``value`` as a Python int, or ``error`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 class SketchOperator:
     """A realized random linear map ``S: R^m -> R^s``.
 
@@ -282,12 +291,12 @@ class SketchOperator:
     def __init__(self, kind, s, m, seed):
         if kind not in KINDS:
             raise ValueError(f"unknown sketch kind {kind!r}")
-        if not 1 <= s <= m:
-            raise ShapeError(f"need 1 <= s <= m, got s={s}, m={m}")
         self.kind = kind
-        self.s = int(s)
-        self.m = int(m)
-        self.seed = int(seed)
+        self.s = _integer(s, "s", ShapeError)
+        self.m = _integer(m, "m", ShapeError)
+        self.seed = _integer(seed, "seed", ValueError)
+        if not 1 <= self.s <= self.m:
+            raise ShapeError(f"need 1 <= s <= m, got s={s}, m={m}")
         if kind == "gaussian":
             self._dense = None
             self._lock = threading.Lock()
@@ -333,7 +342,8 @@ class SketchOperator:
         vector input).  Sparse input is never densified for the gaussian
         and sparse-sign kinds.  The module docstring gives the budget that
         bounds its scratch and the threads a gaussian apply uses."""
-        vector = not sp.issparse(X) and np.ndim(X) == 1
+        X = require_real(X)
+        vector = not sp.issparse(X) and X.ndim == 1
         if vector:
             X = np.asarray(X, dtype=np.float64)[:, None]
         elif sp.issparse(X):
@@ -448,7 +458,12 @@ class SketchOperator:
 
 
 def build_sketch(kind, s, m, seed):
-    """Construct a :class:`SketchOperator`; deterministic in ``seed``."""
+    """Construct a :class:`SketchOperator`; deterministic in ``seed``.
+
+    ``s``, ``m`` and ``seed`` are Python or numpy integers; any other
+    value raises (``ShapeError`` for ``s`` or ``m``, ``ValueError`` for
+    ``seed``) instead of being truncated.
+    """
     return SketchOperator(kind, s, m, seed)
 
 
@@ -460,7 +475,7 @@ def empirical_epsilon(op, U):
     the embedding inequality hold deterministically for every vector in
     the audited subspace.
     """
-    U = np.asarray(U, dtype=np.float64)
+    U = np.asarray(require_real(U), dtype=np.float64)
     if U.ndim == 1:
         U = U[:, None]
     k = U.shape[1]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -112,6 +113,18 @@ def test_bad_s_token_names_the_flag(capsys, value, bad):
     assert rc == 2
     assert f"--s takes a comma list of integers or Kn multiples, got '{bad}'" in (
         capsys.readouterr().err)
+
+
+def test_every_option_and_subcommand_has_help():
+    parser = cli._parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = {entry.dest: entry.help for entry in sub._choices_actions}
+    assert set(listed) == set(sub.choices)
+    missing = [name for name, text in listed.items() if not text]
+    for name, p in sub.choices.items():
+        missing += [f"{name} {a.option_strings[0]}" for a in p._actions
+                    if a.option_strings and not a.help]
+    assert not missing, f"no --help text: {missing}"
 
 
 def test_readme_commands_parse():

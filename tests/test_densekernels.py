@@ -10,11 +10,14 @@ from sketchsvd import (
     NumericalError,
     PreconditionError,
     ShapeError,
+    build_sketch,
+    empirical_epsilon,
     householder_qr,
     jacobi_svd,
     polar_factors,
     range_basis,
     spectral_norm,
+    sts_svd,
 )
 from sketchsvd import densekernels
 from sketchsvd.densekernels import _GRAM_ROWS
@@ -333,3 +336,53 @@ def test_blas_threads_reads_the_pinned_count():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
+
+
+# Entry points that cast their input to float64, where a cast would drop
+# the imaginary part of complex input with only a ComplexWarning.
+_CASTING = {
+    "apply": lambda op, X: op.apply(X),
+    "sts_svd": lambda op, X: sts_svd(X, op),
+    "jacobi_svd": lambda op, X: jacobi_svd(X),
+    "empirical_epsilon": lambda op, X: empirical_epsilon(op, X),
+}
+_INPUTS = {
+    "dense": lambda X: X,
+    "csr": sp.csr_matrix,
+    "vector": lambda X: X[:, 0],
+}
+
+
+class TestRealInput:
+    @pytest.mark.parametrize("form", _INPUTS)
+    @pytest.mark.parametrize("entry", _CASTING)
+    def test_complex_input_raises_naming_its_dtype(self, entry, form):
+        A = np.random.default_rng(0).standard_normal((100, 5)) * (1 + 1j)
+        op = build_sketch("srtt", 20, 100, seed=1)
+        with pytest.raises(PreconditionError, match="complex128"):
+            _CASTING[entry](op, _INPUTS[form](A))
+
+    def test_complex64_is_named(self):
+        with pytest.raises(PreconditionError, match="complex64"):
+            densekernels.as_matrix(np.ones((3, 2), dtype=np.complex64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, bool])
+    @pytest.mark.parametrize("form", _INPUTS)
+    def test_integer_and_bool_input_converts(self, form, dtype):
+        X = (np.arange(300).reshape(100, 3) % 7 > 2).astype(dtype)
+        op = build_sketch("srtt", 20, 100, seed=1)
+        got = op.apply(_INPUTS[form](X))
+        assert np.array_equal(got, op.apply(_INPUTS[form](X.astype(np.float64))))
+
+    def test_integer_input_factors(self):
+        X = np.arange(1, 301).reshape(100, 3) ** 2 % 11
+        op = build_sketch("srtt", 20, 100, seed=1)
+        assert np.array_equal(sts_svd(X, op).theta, sts_svd(X.astype(float), op).theta)
+        assert np.array_equal(jacobi_svd(X).sigma, jacobi_svd(X.astype(float)).sigma)
+        E = np.eye(100, 4, dtype=np.int64)
+        assert empirical_epsilon(op, E) == empirical_epsilon(op, E.astype(float))
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_check_copies_nothing(self, form):
+        X = _INPUTS[form](np.ones((4, 2)))
+        assert densekernels.require_real(X) is X

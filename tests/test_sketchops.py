@@ -79,6 +79,24 @@ class TestBuildSketch:
         with pytest.raises(ShapeError):
             build_sketch("gaussian", bad_s, 30, seed=0)
 
+    @pytest.mark.parametrize("s, m, seed, error", [
+        (10.5, 100, 1, ShapeError), (10, 100.9, 1, ShapeError),
+        (np.float64(10), 100, 1, ShapeError), (10, 100, 1.7, ValueError),
+        (10, 100, "1", ValueError),
+    ], ids=["float-s", "float-m", "numpy-float-s", "float-seed", "str-seed"])
+    def test_non_integral_parameters_raise(self, s, m, seed, error):
+        # a float is rejected, not truncated
+        with pytest.raises(error, match="must be an integer"):
+            build_sketch("srtt", s, m, seed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_numpy_integer_parameters(self, kind):
+        op = build_sketch(kind, np.int64(12), np.int32(30), np.uint64(42))
+        assert (op.s, op.m, op.seed) == (12, 30, 42)
+        assert all(type(v) is int for v in (op.s, op.m, op.seed))
+        assert np.array_equal(op.materialize(),
+                              build_sketch(kind, 12, 30, 42).materialize())
+
     def test_srtt_full_sample_is_orthogonal(self):
         op = build_sketch("srtt", 16, 16, seed=5)
         S = op.materialize()
