@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgejsv
 
@@ -214,12 +215,16 @@ def range_basis(*mats, rtol=None):
     """Orthonormal basis of the joint column space of the given matrices.
 
     Columns are stacked, densified, and trimmed at ``rtol * sigma_1``
-    (default ``max(total shape) * eps``).  Used to pick the subspace an
+    (default ``max(total shape) * eps``) of their thin SVD by LAPACK
+    ``dgesdd`` (``scipy.linalg.svd``), which forms U once, where
+    ``numpy.linalg.svd`` holds a second m x n copy of it.  Non-finite
+    entries raise ``NumericalError``.  Used to pick the subspace an
     embedding certificate is measured over.
     """
     blocks = [to_dense(as_matrix(M)) for M in mats]
     X = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    check_finite(X, "range_basis input")
+    U, s, _ = scipy.linalg.svd(X, full_matrices=False, check_finite=False)
     if rtol is None:
         rtol = max(X.shape) * _EPS
     return U[:, : numerical_rank(s, rtol)]

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
+from .densekernels import require_real
 from .errors import ParseError, UnsupportedFormatError
 
 _FIELDS = ("real", "integer")
@@ -69,8 +70,10 @@ def write_matrix_market(X, path, comment=None):
 
     Sparse input is written in coordinate format, dense input in array
     format; both as ``real general`` with full float64 round-trip
-    precision.
+    precision.  Complex input raises ``PreconditionError`` and writes no
+    file.
     """
+    X = require_real(X)
     scipy.io.mmwrite(path, X, comment=comment, field="real", symmetry="general")
 
 

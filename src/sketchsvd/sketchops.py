@@ -32,23 +32,33 @@ and dropped, so an operator applied only to sparse input never holds its
 table, and each sparse apply draws its rows again, even after a dense one.
 
 One budget, ``_APPLY_ENTRIES`` = 320 000 entries, bounds the scratch of
-the srtt apply and of the sparse gaussian apply: srtt transforms
-``max(1, budget // m)`` columns at a time (densifying sparse ones), and a
-sparse gaussian apply, on the draw's blocks and w threads, draws
-``max(1, budget // (w * m))`` rows per thread at a time.  Beyond its
-input and output, such an apply holds about ``budget`` entries per
-temporary (at least m) on any core count.  The budget is sized to a
-core's L2 cache: at the desk ``ortho`` shape, m = 20000 on 2 workers,
-one worker's chunk of 8 rows in float32 and float64 takes 1.92 MB,
-within a 2 MiB L2.  Every gaussian apply allocates its scratch on the
-calling thread, one slice per worker, so that none of it is left in a
-worker thread's malloc arena.  A dense
-gaussian apply casts the table into one float64 stream block of
-scratch, about ``s * m / 8`` entries, on the calling thread, whose BLAS
-threads its products, unless numpy's BLAS reports one thread
-(:func:`~sketchsvd.densekernels.blas_threads`): then each stream block is
-cut into two halves whose bounds depend on ``s`` alone, cast and
-multiplied on up to two threads that share the scratch.  Every
+every apply: beyond its input and output, an apply holds about
+``budget`` entries per temporary (at least m for srtt and sparse
+gaussian applies) on any core count.
+
+* srtt transforms ``max(1, budget // m)`` columns at a time (densifying
+  sparse ones);
+* a sparse gaussian apply, on the draw's blocks and w threads, draws
+  ``max(1, budget // (w * m))`` rows per thread at a time;
+* a dense gaussian apply cuts each stream block into two halves whose
+  bounds depend on ``s`` alone, and casts a half into float64 one column
+  tile at a time: about ``budget // ceil(s / 8)`` columns, split into
+  equal tiles whose bounds depend on ``s`` and ``m`` alone, and each
+  output row adds up its tile products in column order (the K-blocking
+  of Goto & van de Geijn, ACM TOMS 34(3), 2008).  The halves run in
+  order on the calling thread, whose BLAS threads each product, unless
+  numpy's BLAS reports one thread
+  (:func:`~sketchsvd.densekernels.blas_threads`): then they run on up
+  to two threads, each casting into its own half of the scratch.  So a
+  dense apply computes the same products whatever the core count or the
+  BLAS thread count it reads (OpenBLAS's own threads can still change
+  the bits of a product with many columns).
+
+The budget is sized to a core's L2 cache: at the desk ``ortho`` shape,
+m = 20000 on 2 workers, one worker's chunk of 8 rows in float32 and
+float64 takes 1.92 MB, within a 2 MiB L2.  Every gaussian apply
+allocates its scratch on the calling thread, one slice per worker, so
+that none of it is left in a worker thread's malloc arena.  Every
 certificate here (``empirical_epsilon`` and the bounds evaluated at it)
 measures the operator's table, so it is exact for the table as drawn;
 :meth:`SketchOperator.materialize` returns that table in float64.
@@ -73,11 +83,10 @@ KINDS = ("gaussian", "srtt", "sparse-sign")
 
 SPARSE_SIGN_NNZ_PER_COLUMN = 8
 
-# Entries per temporary of an srtt or sparse gaussian apply (the module
-# docstring gives the rule), sized so that one worker's chunk fits in a
-# core's L2 cache (2 MiB where it was measured): at the desk ortho shape,
-# m = 20000 on 2 workers, each worker draws 8 rows, 1.92 MB of float32
-# and float64.  Swept on 2 cores (BENCH_apply_budget.json), the
+# Entries per temporary of any apply (the module docstring gives the
+# rule), sized so that one worker's chunk fits in a core's L2 cache
+# (2 MiB where it was measured): at the desk ortho shape, m = 20000 on 2
+# workers, each worker draws 8 rows, 1.92 MB of float32 and float64.  Swept on 2 cores (BENCH_apply_budget.json), the
 # ortho-sparse-gaussian benchmark peaked at 81.0 MB at 32 * 20_000 and
 # 77.1 MB here; 8 * 20_000 and 4 * 20_000 peaked at 76.6 MB, but took a
 # sparse apply at s = 1600 7% and 18% longer than here.
@@ -91,8 +100,7 @@ _DIM_CONSTANT = 1.0
 # can be filled on parallel threads.  Changing it changes every table.
 _GAUSSIAN_STREAMS = 8
 
-# Tables with fewer entries are filled and applied on the calling thread,
-# and dense input is applied to them in whole stream blocks.
+# Tables with fewer entries are filled and applied on the calling thread.
 # Starting a thread pool costs about 1 ms; measured on 2 cores, the pool
 # fills 2**18 entries in 5.7 ms, as one thread does, and 2**19 entries in
 # 9.1 ms against 10.7 ms.
@@ -189,6 +197,18 @@ def _stream_blocks(s):
     bounds = [s * i // _GAUSSIAN_STREAMS for i in range(_GAUSSIAN_STREAMS + 1)]
     return [(i, r0, r1) for i, (r0, r1) in enumerate(zip(bounds, bounds[1:]))
             if r0 < r1]
+
+
+def _column_tiles(s, m):
+    """``(c0, c1)`` bounds of the column tiles in which a dense gaussian
+    apply casts an (s, m) table: about ``_APPLY_ENTRIES`` entries over one
+    stream block's ``ceil(s / 8)`` rows, split into equal tiles.  They
+    depend on ``s`` and ``m`` alone, so the sum each output row adds up
+    tile by tile does not depend on the thread or core count."""
+    cols = max(1, _APPLY_ENTRIES // -(-s // _GAUSSIAN_STREAMS))
+    count = -(-m // cols)
+    bounds = [m * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _pool_workers(s, m, most):
@@ -371,31 +391,34 @@ class SketchOperator:
         blocks = _stream_blocks(self.s)
         if not sp.issparse(X):
             table = self._table()
-            if blas_threads() == 1 and self.s * m >= _PARALLEL_MIN_ENTRIES:
-                # BLAS runs one thread: each stream block is cut into two
-                # halves whose bounds depend on s alone, cast and multiplied
-                # on up to two workers; worker w takes every w-th half (the
-                # larger ones first) and the w-th part of the scratch
-                chunks = []
-                for _, r0, r1 in blocks:
-                    mid = r0 + (r1 - r0 + 1) // 2
-                    chunks += [(r0, mid), (mid, r1)]
-                workers = _pool_workers(self.s, m, 2)
-            else:
-                # one product per stream block, on the calling thread, so
-                # that BLAS does the threading: it packs X once per call,
-                # and smaller row chunks would repack it for each chunk
-                chunks = [(r0, r1) for _, r0, r1 in blocks]
-                workers = 1
-            # float64 scratch for one stream block, allocated here so that
-            # the workers share it
-            height = max(r1 - r0 for _, r0, r1 in blocks)
-            buf = np.empty((height, m))
+            # each stream block is cut into two halves whose bounds depend
+            # on s alone, on either route, so that both compute the same
+            # products: with BLAS on one thread the halves run on up to two
+            # workers, worker w taking every w-th half, else in order on the
+            # calling thread, whose BLAS threads each product
+            chunks = []
+            for _, r0, r1 in blocks:
+                mid = r0 + (r1 - r0 + 1) // 2
+                chunks += [(r0, mid), (mid, r1)]
+            workers = _pool_workers(self.s, m, 2) if blas_threads() == 1 else 1
+            # float64 scratch for one half's column tile per worker, and a
+            # partial product when there is more than one tile, allocated
+            # here as the sparse apply's buffers are
+            half = max(r1 - r0 for r0, r1 in chunks)
+            tiles = _column_tiles(self.s, m)
+            buf = np.empty((workers, half, max(c1 - c0 for c0, c1 in tiles)))
+            part = np.empty((workers, half, X.shape[1])) if len(tiles) > 1 else None
 
             def product(w, r0, r1):
-                block = buf[w * ((height + 1) // 2):][:r1 - r0]
-                np.copyto(block, table[r0:r1])
-                np.matmul(block, X, out=out[r0:r1])
+                # each row adds up its tile products in column order
+                for t, (c0, c1) in enumerate(tiles):
+                    tile = buf[w, :r1 - r0, :c1 - c0]
+                    np.copyto(tile, table[r0:r1, c0:c1])
+                    if t == 0:
+                        np.matmul(tile, X[c0:c1], out=out[r0:r1])
+                    else:
+                        np.matmul(tile, X[c0:c1], out=part[w, :r1 - r0])
+                        out[r0:r1] += part[w, :r1 - r0]
 
             _on_streams(product, chunks, workers)
             return out

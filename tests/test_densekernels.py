@@ -322,6 +322,21 @@ class TestRangeBasis:
         U = range_basis(A, B)
         assert U.shape == (20, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_numerical_error(self, bad):
+        # the CLI maps NumericalError to exit 3, as it did LAPACK's
+        # LinAlgError; scipy's own check would raise a ValueError (exit 2)
+        A = np.ones((6, 3))
+        A[2, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            range_basis(A)
+        with pytest.raises(NumericalError, match="non-finite"):
+            range_basis(np.eye(6, 2), sp.csr_matrix(A))
+
+    @pytest.mark.parametrize("shape, basis", [((10, 0), (10, 0)), ((0, 3), (0, 0))])
+    def test_empty_input(self, shape, basis):
+        assert range_basis(np.zeros(shape)).shape == basis
+
 
 def test_blas_threads_reads_the_pinned_count():
     # in a fresh interpreter: the getter is not looked up on import, and

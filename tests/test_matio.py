@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from sketchsvd import (
     ParseError,
+    PreconditionError,
     UnsupportedFormatError,
     read_matrix_market,
     write_matrix_market,
@@ -211,3 +212,12 @@ class TestRoundTrip:
         B = read_matrix_market(path)
         assert sp.issparse(B)
         np.testing.assert_allclose(B.toarray(), A.toarray(), atol=0)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_complex_input_raises_and_writes_nothing(self, tmp_path, sparse):
+        # a real field would keep only the real part
+        A = np.array([[1 + 2j, 3], [4, 5j]])
+        path = tmp_path / "complex.mtx"
+        with pytest.raises(PreconditionError, match="complex128"):
+            write_matrix_market(sp.csr_matrix(A) if sparse else A, path)
+        assert not path.exists()

@@ -352,65 +352,85 @@ class TestApply:
         assert peaks[1] <= peaks[0]
         assert np.array_equal(outs[0], outs[1])
 
-    @pytest.mark.parametrize("blas", [1, 2])
-    def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
-        # dense input is cast into one stream block (s / 8 rows) of scratch,
-        # shared by the pool's workers, on any core count
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
-        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
-        s, m = 256, 4096
-        op = build_sketch("gaussian", s, m, seed=30)
-        op._table()
-        X = np.random.default_rng(31).standard_normal((m, 3))
-        tracemalloc.start()
-        try:
-            op.apply(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * s * m
+    @staticmethod
+    def _tiles(s, m):
+        """Column tiles of a dense apply, by the module docstring's rule:
+        about budget // ceil(s / 8) columns, split into equal tiles."""
+        cols = max(1, sketchops._APPLY_ENTRIES // math.ceil(s / 8))
+        count = math.ceil(m / cols)
+        return [(m * k // count, m * (k + 1) // count) for k in range(count)]
 
     @staticmethod
-    def _row_products(op, X, bounds):
-        S = op.materialize()
-        return np.vstack([S[r0:r1] @ X for r0, r1 in bounds])
-
-    @pytest.mark.parametrize("cols", [None, 1, 2, 5, 50])
-    @pytest.mark.parametrize("s", [9, 99])
-    def test_gaussian_dense_halves_on_one_blas_thread(self, monkeypatch, s, cols):
-        # each stream block is applied as two halves, the larger first (at
-        # s = 9 most second halves are empty)
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: 1)
-        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
-        m = _PARALLEL_MIN_ENTRIES // s + 1
-        shape = (m,) if cols is None else (m, cols)
-        X = np.random.default_rng(32).standard_normal(shape)
-        op = build_sketch("gaussian", s, m, seed=33)
+    def _halves(s):
         bounds = np.linspace(0, s, 9).astype(int)
         halves = []
         for r0, r1 in zip(bounds, bounds[1:]):
             mid = r0 + (r1 - r0 + 1) // 2
             halves += [(r0, mid), (mid, r1)]
+        return halves
+
+    def _tiled_products(self, op, X):
+        """S @ X as a dense apply computes it: per half of each stream
+        block, the tile products added up in column order."""
+        S = op.materialize()
+        (c0, c1), *rest = self._tiles(op.s, op.m)
+        rows = []
+        for r0, r1 in self._halves(op.s):
+            acc = S[r0:r1, c0:c1] @ X[c0:c1]
+            for d0, d1 in rest:
+                acc += S[r0:r1, d0:d1] @ X[d0:d1]
+            rows.append(acc)
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
+        # dense input is cast into one column tile of a stream block (at
+        # most the budget, here a quarter of the block's columns) of
+        # scratch, split between the pool's workers, on any core count
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 32 * 1024)
+        s, m = 256, 4096
+        assert len(self._tiles(s, m)) == 4
+        op = build_sketch("gaussian", s, m, seed=30)
+        op._table()
+        X = np.random.default_rng(31).standard_normal((m, 3))
+        # beyond the output: one partial product per worker, and 32 KiB
+        # for the pool's bookkeeping (16 KiB measured)
+        assert self._scratch_peak(op, X) < 8 * 32 * 1024 + 2 * 16 * 3 * 8 + 32 * 1024
+
+    @pytest.mark.parametrize("cols", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("s", [9, 99])
+    def test_gaussian_dense_halves_on_one_blas_thread(self, monkeypatch, s, cols):
+        # each stream block is applied as two halves, the larger first (at
+        # s = 9 most second halves are empty), each in 6 or 9 column tiles
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: 1)
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 13 * 1000)
+        m = _PARALLEL_MIN_ENTRIES // s + 1
+        assert len(self._tiles(s, m)) > 1
+        shape = (m,) if cols is None else (m, cols)
+        X = np.random.default_rng(32).standard_normal(shape)
+        op = build_sketch("gaussian", s, m, seed=33)
         out = op.apply(X)
-        expected = self._row_products(op, X.reshape(m, -1), halves)
+        expected = self._tiled_products(op, X.reshape(m, -1))
         assert np.array_equal(out.reshape(s, -1), expected)
         reference = op.materialize() @ X
         assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
-    def test_gaussian_dense_whole_blocks_when_blas_threads_unknown(self, monkeypatch):
-        # one product per stream block, and no thread pool
+    def test_gaussian_dense_calling_thread_when_blas_threads_unknown(self, monkeypatch):
+        # the same halves and tiles, in order, and no thread pool
         def no_pool(*args):  # pragma: no cover
             raise AssertionError("dense input went to a thread pool")
 
+        monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 12 * 1000)
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
         X = np.random.default_rng(34).standard_normal((m, 5))
         op = build_sketch("gaussian", s, m, seed=35)
         op._table()
         monkeypatch.setattr(sketchops, "blas_threads", lambda: None)
         monkeypatch.setattr(sketchops, "ThreadPoolExecutor", no_pool)
-        bounds = np.linspace(0, s, 9).astype(int)
-        expected = self._row_products(op, X, zip(bounds, bounds[1:]))
-        assert np.array_equal(op.apply(X), expected)
+        assert np.array_equal(op.apply(X), self._tiled_products(op, X))
 
     def test_gaussian_table_drawn_once_under_concurrent_applies(self, monkeypatch):
         # threads that apply one fresh operator to dense input at once all
@@ -539,6 +559,53 @@ class TestApply:
         se = np.sqrt(2.0 / s / n_seeds)  # |Sv|^2 ~ chi2_s / s
         assert abs(vals.mean() - 1.0) <= 3 * se
 
+
+class TestDenseTiles:
+    """A dense gaussian apply at a shape that spans several column tiles
+    (the budget is lowered so that a small table does)."""
+
+    BUDGET = 7 * 1000
+    S, M = 8 * 13 + 5, _PARALLEL_MIN_ENTRIES // (8 * 13 + 5) + 1
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", self.BUDGET)
+        # ceil(109 / 8) = 14 rows per stream block, 500-column tiles
+        assert len(sketchops._column_tiles(self.S, self.M)) == 10
+
+    @pytest.mark.parametrize("cols", [None, 1, 4])
+    def test_bits_independent_of_threads_and_cores(self, monkeypatch, cols):
+        shape = (self.M,) if cols is None else (self.M, cols)
+        X = np.random.default_rng(48).standard_normal(shape)
+        op = build_sketch("gaussian", self.S, self.M, seed=49)
+        outs = []
+        for blas in (1, 2, None):
+            for cores in (1, 4):
+                monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
+                monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+                outs.append(op.apply(X))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        reference = op.materialize() @ X
+        assert np.abs(outs[0] - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("blas", [1, None])
+    def test_scratch_within_budget(self, monkeypatch, blas):
+        # the float64 tiles take at most the budget together; each worker
+        # also holds a partial product of its half's rows, and the pool
+        # takes 10 KiB (measured) of bookkeeping
+        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
+        monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 4)
+        op = build_sketch("gaussian", self.S, self.M, seed=50)
+        op._table()
+        X = np.random.default_rng(51).standard_normal((self.M, 2))
+        tracemalloc.start()
+        try:
+            out = op.apply(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 8 * self.BUDGET + 2 * 7 * 2 * 8 + 32 * 1024
 
 class TestEmpiricalEpsilon:
     def test_exact_isometry(self):
