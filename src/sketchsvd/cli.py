@@ -306,11 +306,6 @@ def cmd_spectrum(args):
     return 0
 
 
-def _check_eps(eps):
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"--eps must be in (0, 1), got {eps}")
-
-
 def _gram_defect(A, op):
     """``W^T W - I`` for the sketch-orthonormal left factor W of
     ``sts_svd(A, op)``, summed over row blocks of A without forming W."""
@@ -319,7 +314,6 @@ def _gram_defect(A, op):
 
 
 def cmd_ortho(args):
-    _check_eps(args.eps)
     A, dims = _setup(args)
     eps = args.eps
 
@@ -344,7 +338,6 @@ def cmd_ortho(args):
 
 
 def cmd_nearest(args):
-    _check_eps(args.eps)
     A, dims = _setup(args)
 
     terms, time_T = _timed(_SandwichTerms, A)
@@ -400,6 +393,18 @@ def _add_matrix(p, required):
                    "source (default 0)")
 
 
+def _unit_interval(text):
+    """The float ``text`` names, checked to lie in (0, 1): the type of
+    ``--eps`` and ``--delta``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _add_common(p, strict):
     _add_matrix(p, required=False)
     p.add_argument("--sketch", choices=KINDS, default=None,
@@ -408,11 +413,12 @@ def _add_common(p, strict):
                    help="sketch dimensions, a comma list of integers or Kn "
                    "multiples of the column count (default: the preset's, "
                    "else the s rule at --eps and --delta)")
-    p.add_argument("--eps", type=float, default=0.5,
+    p.add_argument("--eps", type=_unit_interval, default=0.5,
                    help="asserted distortion, in (0, 1), for the bound checks "
                    "and the target of the s rule (default 0.5)")
-    p.add_argument("--delta", type=float, default=1e-6,
-                   help="failure probability the s rule targets (default 1e-6)")
+    p.add_argument("--delta", type=_unit_interval, default=1e-6,
+                   help="failure probability, in (0, 1), the s rule targets "
+                   "(default 1e-6)")
     p.add_argument("--reps", type=int, default=None,
                    help="repetitions per sketch dimension, each with its own "
                    "operator (default: the preset's, else 50)")

@@ -6,17 +6,12 @@ sparse matrices; helpers at the top of the module normalize and validate
 them.  All functions are pure and safe to call concurrently on disjoint data.
 """
 
-import ctypes
-import functools
-import glob
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgejsv
 
+from . import _lapack
 from .errors import NumericalError, PreconditionError, ShapeError
 
 _EPS = np.finfo(np.float64).eps
@@ -54,23 +49,14 @@ def as_matrix(X):
     return A
 
 
-@functools.cache
-def _blas_getter():
-    """``scipy_openblas_get_num_threads64_`` of the OpenBLAS bundled with
-    numpy, or None where numpy links another BLAS.  Looked up on first use,
-    not on import."""
-    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
-    for lib in sorted(glob.glob(libs)):
-        getter = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter
-    return None
-
-
 def blas_threads():
-    """Thread count numpy's BLAS reports now, or None if it cannot be read."""
-    getter = _blas_getter()
+    """Thread count numpy's BLAS reports now, or None if it cannot be read.
+
+    numpy's OpenBLAS also runs every LAPACK call of the package
+    (``sketchsvd._lapack``), so this counts the threads of each
+    factorization in ``ortho`` and ``nearest`` as well as of numpy's own
+    products."""
+    getter = _lapack.routine("openblas_get_num_threads")
     return None if getter is None else getter()
 
 
@@ -162,14 +148,8 @@ def jacobi_svd(X):
     if q == 0:
         return SvdFactors(np.zeros((p, 0)), np.zeros(0), np.zeros((0, 0)))
 
-    # JOBA='C', JOBU='U', JOBV='V', JOBR='R', JOBP='P'
-    sva, U, V, work, _, info = dgejsv(X, joba=0, jobu=0, jobv=0, jobr=1, jobp=1)
-    if info != 0:
-        raise NumericalError(
-            f"one-sided Jacobi (LAPACK dgejsv) did not converge (info={info})"
-        )
-    # dgejsv may return the singular values scaled to avoid overflow
-    return SvdFactors(U=U, sigma=sva * (work[0] / work[1]), V=V)
+    sigma, U, V = _lapack.gejsv(X)
+    return SvdFactors(U=U, sigma=sigma, V=V)
 
 
 def numerical_rank(values, rel_threshold=1e-12):
@@ -216,15 +196,15 @@ def range_basis(*mats, rtol=None):
 
     Columns are stacked, densified, and trimmed at ``rtol * sigma_1``
     (default ``max(total shape) * eps``) of their thin SVD by LAPACK
-    ``dgesdd`` (``scipy.linalg.svd``), which forms U once, where
-    ``numpy.linalg.svd`` holds a second m x n copy of it.  Non-finite
-    entries raise ``NumericalError``.  Used to pick the subspace an
-    embedding certificate is measured over.
+    ``dgesdd`` with JOBZ='S' (``sketchsvd._lapack.gesdd``), which forms U
+    once, where ``numpy.linalg.svd`` holds a second m x n copy of it.
+    Non-finite entries raise ``NumericalError``.  Used to pick the subspace
+    an embedding certificate is measured over.
     """
     blocks = [to_dense(as_matrix(M)) for M in mats]
     X = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
     check_finite(X, "range_basis input")
-    U, s, _ = scipy.linalg.svd(X, full_matrices=False, check_finite=False)
+    U, s = _lapack.gesdd(X)
     if rtol is None:
         rtol = max(X.shape) * _EPS
     return U[:, : numerical_rank(s, rtol)]

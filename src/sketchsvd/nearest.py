@@ -20,7 +20,8 @@ work beyond the sketch ``S A``, and P itself is not formed.  Since
   ``S A = Q H_s`` for a Q with orthonormal columns when the retained rank
   is n (which :func:`nearest_sts_orthogonal` enforces).
 
-Each is an n x n product, formed by SPD solves with H and H_s.  A and
+Each is an n x n product, formed by Cholesky solves with H and H_s
+(LAPACK ``dpotrf`` and ``dpotrs`` of numpy's OpenBLAS).  A and
 the R of its thin QR share H, so H comes from the
 :func:`~sketchsvd.densekernels.jacobi_svd` of the R that
 :func:`~sketchsvd.densekernels.householder_qr` computes over row blocks
@@ -39,9 +40,8 @@ README.md gives the errors measured against a 60-digit reference.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import densekernels
+from . import _lapack, densekernels
 from .densekernels import (
     PolarPair,
     _column_norms,
@@ -273,7 +273,7 @@ class _SandwichTerms:
         # A D and H D have the same Gram matrix, so the same condition
         self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA
         if self.factored:
-            self.chol_H = scipy.linalg.cho_factor(self.H)
+            self.chol_H = _lapack.potrf(self.H)
         else:
             self.basis = range_basis(A, rtol=0.0)
 
@@ -282,7 +282,7 @@ class _SandwichTerms:
         if not self.factored:
             return empirical_epsilon(op, self.basis)
         # sigma(S T) = sigma(H_s H^-1) = sigma(H^-1 H_s)
-        sv = np.linalg.svd(scipy.linalg.cho_solve(self.chol_H, sketched.H),
+        sv = np.linalg.svd(_lapack.potrs(self.chol_H, sketched.H),
                            compute_uv=False)
         return _certificate(sv, sv.size)
 
@@ -293,7 +293,7 @@ class _SandwichTerms:
         if cert is None:
             cert = self.certificate(op, sketched)
         # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
-        HHs = scipy.linalg.solve(sketched.H, self.H, assume_a="pos").T
+        HHs = _lapack.potrs(_lapack.potrf(sketched.H), self.H).T
         dist_AP = spectral_norm(self.H - HHs)
         dist_PT = spectral_norm(HHs - np.eye(len(HHs)))
         eps = cert.epsilon_emp

@@ -16,8 +16,9 @@ Jacobi sweeps, so no QR runs in front of it), then recovers
 ``W = A @ V_r @ diag(theta_r)^-1``; A is touched once for the sketch and
 once for the back-product, and sparse input is never densified.  The QR
 route takes a sketch-orthonormal basis ``Q`` from :func:`sketched_qr` (two
-block applies of S and two in-place triangular solves, all on a dense copy
-of A) and the SVD of its triangular factor.
+block applies of S and two in-place triangular solves by BLAS ``dtrsm``,
+all on a dense copy of A) and the SVD of its triangular factor.  Both
+LAPACK and BLAS routines come from numpy's OpenBLAS (``sketchsvd._lapack``).
 """
 
 import warnings
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsm
 
+from . import _lapack
 from .densekernels import (
     _EPS,
     _GRAM_ROWS,
@@ -160,12 +161,12 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
     ``R1`` is the R factor of ``S A``, ``Q1 = A R1^-1``, ``R2`` is the R
     factor of ``S Q1``, and ``Q = Q1 R2^-1``, ``R = R2 R1``.  A is copied
     once into an m x n float64 array; the operator is applied twice to it,
-    each time to a block of n columns, and both triangular solves
-    overwrite it in place.  The second pass restores the sketch
-    orthonormality lost to rounding in the first, as reorthogonalization
-    does in column-by-column randomized Gram-Schmidt (Balabanov & Grigori,
-    arXiv:2111.14641).  Returns ``(Q, R)`` with ``(SQ)^T (SQ) = I`` (to
-    roundoff), ``A = Q R`` and ``diag(R) > 0``.
+    each time to a block of n columns, and both triangular solves (BLAS
+    ``dtrsm`` of numpy's OpenBLAS) overwrite it in place.  The second pass
+    restores the sketch orthonormality lost to rounding in the first, as
+    reorthogonalization does in column-by-column randomized Gram-Schmidt
+    (Balabanov & Grigori, arXiv:2111.14641).  Returns ``(Q, R)`` with
+    ``(SQ)^T (SQ) = I`` (to roundoff), ``A = Q R`` and ``diag(R) > 0``.
 
     Raises
     ------
@@ -200,12 +201,12 @@ def sketched_qr(A, op, rtol=_QR_RTOL):
             f"(sketched residual norm {resid[j]:.3e})",
             column=j,
         )
-    Q = dtrsm(1.0, R1, Q, side=1, overwrite_b=1)
+    Q = _lapack.trsm(R1, Q)
     R2 = householder_qr(op.apply(Q))
     cond = np.linalg.cond(R2)
     if not cond < _EPS**-0.5:
         raise NumericalError(f"S Q1 has condition number {cond:.3e} after one pass")
-    Q = dtrsm(1.0, R2, Q, side=1, overwrite_b=1)
+    Q = _lapack.trsm(R2, Q)
     return Q, R2 @ R1
 
 

@@ -11,10 +11,9 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sketchsvd import (
-    GenerationError, SketchRankWarning, cli, gen_sparse_conditioned, nearest,
+    GenerationError, SketchRankWarning, _lapack, cli, gen_sparse_conditioned, nearest,
     read_matrix_market, sketchops, write_matrix_market,
 )
 from sketchsvd.cli import main
@@ -113,6 +112,16 @@ def test_bad_s_token_names_the_flag(capsys, value, bad):
     assert rc == 2
     assert f"--s takes a comma list of integers or Kn multiples, got '{bad}'" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("spectrum", "--eps", "3"), ("ortho", "--delta", "0"), ("nearest", "--delta", "5"),
+])
+def test_eps_and_delta_range_checked_at_parse_time(capsys, command, flag, value):
+    # --s is given, so the s rule that reads them never runs
+    rc = run([command, "--matrix", "randn:20,3", "--s", "6", "--reps", 1, flag, value])
+    assert rc == 2
+    assert f"argument {flag}: must be in (0, 1), got {value}" in capsys.readouterr().err
 
 
 def test_every_option_and_subcommand_has_help():
@@ -417,14 +426,16 @@ class TestNearest:
         assert "full column rank" in capsys.readouterr().err
 
     def test_lapack_failure_is_numerical_failure(self, monkeypatch, capsys):
-        # LinAlgError is a ValueError, yet it reports a failed LAPACK call
-        def failing_solve(*args, **kwargs):
-            raise np.linalg.LinAlgError("leading minor not positive definite")
+        # dpotrf reports a matrix that is not positive definite through
+        # info > 0; its LinAlgError is a ValueError, yet a failed LAPACK call
+        def indefinite(H):
+            return np.array(H, order="F"), 2
 
-        monkeypatch.setattr(scipy.linalg, "solve", failing_solve)
+        monkeypatch.setattr(_lapack, "_dpotrf", indefinite)
         rc = run(["nearest", "--matrix", "randn:300,20", "--s", "4n", "--reps", 1])
         assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "not positive definite" in err
 
 
 class TestRepetitionMemory:

@@ -19,7 +19,7 @@ from sketchsvd import (
     spectral_norm,
     sts_svd,
 )
-from sketchsvd import densekernels
+from sketchsvd import _lapack, densekernels
 from sketchsvd.densekernels import _GRAM_ROWS
 from sketchsvd.cli import main
 import scipy.sparse as sp
@@ -158,12 +158,11 @@ class TestJacobiSVD:
     def test_nonconvergence_raises(self, monkeypatch, tmp_path, capsys):
         # dgejsv reports non-convergence through info > 0; force that path
         # and check it reaches the CLI as a numerical failure (exit code 3).
-        def no_convergence(a, **kwargs):
-            n = a.shape[1]
-            return (np.zeros(n), np.zeros(a.shape), np.zeros((n, n)),
-                    np.ones(7), np.zeros(3, dtype=np.int32), 1)
+        def no_convergence(X):
+            n = X.shape[1]
+            return np.zeros(n), np.zeros(X.shape), np.zeros((n, n)), np.ones(7), 1
 
-        monkeypatch.setattr(densekernels, "dgejsv", no_convergence)
+        monkeypatch.setattr(_lapack, "_dgejsv", no_convergence)
         rng = np.random.default_rng(9)
         with pytest.raises(NumericalError, match="did not converge"):
             jacobi_svd(rng.standard_normal((8, 8)))
@@ -339,12 +338,12 @@ class TestRangeBasis:
 
 
 def test_blas_threads_reads_the_pinned_count():
-    # in a fresh interpreter: the getter is not looked up on import, and
+    # in a fresh interpreter: the library is not opened on import, and
     # reads the count OPENBLAS_NUM_THREADS set
     if densekernels.blas_threads() is None:
         pytest.skip("numpy's BLAS does not report its thread count")
-    code = ("from sketchsvd import densekernels as d; "
-            "print(d._blas_getter.cache_info().currsize, d.blas_threads())")
+    code = ("from sketchsvd import _lapack, densekernels as d; "
+            "print(_lapack.openblas.cache_info().currsize, d.blas_threads())")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -140,7 +140,7 @@ for kind in KINDS:
     op = sketchsvd.build_sketch(kind, 10, 40, seed=1)
     for given in (X, sp.csr_matrix(X), X[:, 0]):
         op.apply(given)
-unloaded = ("scipy.fft", "scipy.special", "scipy.sparse.linalg")
+unloaded = ("scipy.fft", "scipy.special", "scipy.sparse.linalg", "scipy.linalg")
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for command in ("ortho", "nearest"):
