@@ -3,19 +3,18 @@ bundles.
 
 numpy's wheels link a 64-bit-integer OpenBLAS that exports its LAPACKE and
 CBLAS interfaces under a ``scipy_`` prefix and a ``64_`` suffix.  Taking
-``dgejsv``, ``dgesdd``, ``dpotrf``, ``dpotrs`` and ``dtrsm`` from it leaves
-``scipy.linalg``, and the second OpenBLAS that scipy links, unloaded: one
-BLAS thread pool per process.  Each routine runs column-major on an
-F-ordered float64 array, with the job arguments ``scipy.linalg`` passes it.
+``dgejsv``, ``dgesdd`` and ``dtrsm`` from it leaves ``scipy.linalg``, and
+the second OpenBLAS that scipy links, unloaded: one BLAS thread pool per
+process.  Each routine runs column-major on an F-ordered float64 array,
+with the job arguments ``scipy.linalg`` passes it.
 Where numpy's library does not export a routine (numpy 1.x wheels, MKL or
 Accelerate builds), that routine is ``scipy.linalg``'s wrapper, imported on
 first use; the path follows from the library alone.
 
 A positive LAPACK ``info`` raises :class:`~sketchsvd.errors.NumericalError`
-from :func:`gejsv` and :func:`gesdd`, and ``numpy.linalg.LinAlgError`` from
-:func:`potrf`; a negative one, an argument LAPACK rejected (LAPACKE also
-reports a NaN in an input matrix so), raises ``NumericalError`` naming the
-routine and the argument.
+from :func:`gejsv` and :func:`gesdd`; a negative one, an argument LAPACK
+rejected (LAPACKE also reports a NaN in an input matrix so), raises
+``NumericalError`` naming the routine and the argument.
 """
 
 import ctypes
@@ -38,8 +37,6 @@ _SIGNATURES = {
     "LAPACKE_dgejsv": (_I, [ctypes.c_int] + [_C] * 6
                        + [_I, _I, _P, _I, _P, _P, _I, _P, _I, _P, _P]),
     "LAPACKE_dgesdd": (_I, [ctypes.c_int, _C, _I, _I, _P, _I, _P, _P, _I, _P, _I]),
-    "LAPACKE_dpotrf": (_I, [ctypes.c_int, _C, _I, _P, _I]),
-    "LAPACKE_dpotrs": (_I, [ctypes.c_int, _C, _I, _I, _P, _I, _P, _I]),
     "cblas_dtrsm": (None, [_E] * 5 + [_I, _I, ctypes.c_double, _P, _I, _P, _I]),
 }
 
@@ -49,7 +46,7 @@ def _symbol(name):
 
 
 @functools.cache
-def openblas():
+def _openblas():
     """numpy's bundled OpenBLAS as a ``ctypes.CDLL``, with the signature of
     every routine in ``_SIGNATURES`` it exports set, or None where numpy
     links another BLAS.  Opened on first use, not on import."""
@@ -69,7 +66,7 @@ def openblas():
 def routine(name):
     """numpy's OpenBLAS export of ``name`` (a key of ``_SIGNATURES``), or
     None where the library or the export is missing."""
-    lib = openblas()
+    lib = _openblas()
     return None if lib is None else getattr(lib, _symbol(name), None)
 
 
@@ -135,54 +132,6 @@ def gesdd(X):
     if _info("dgesdd", info):
         raise NumericalError(f"SVD (LAPACK dgesdd) did not converge (info={info})")
     return U, s
-
-
-def _dpotrf(H):
-    """``(C, info)`` of dpotrf with UPLO='U' on an F-ordered copy of H."""
-    C = np.array(H, dtype=np.float64, order="F")
-    fn = routine("LAPACKE_dpotrf")
-    if fn is None:
-        from scipy.linalg.lapack import dpotrf
-
-        return dpotrf(C, lower=0, clean=0, overwrite_a=1)
-    n = len(C)
-    return C, fn(_LAYOUT, b"U", n, C.ctypes.data, max(1, n))
-
-
-def potrf(H):
-    """The upper Cholesky factor ``C``, ``H = C^T C``, of a symmetric
-    positive definite H, in the upper triangle of an F-ordered copy of H,
-    for :func:`potrs`.  ``numpy.linalg.LinAlgError`` when H is not positive
-    definite."""
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ShapeError(f"dpotrf needs a square matrix, got {H.shape}")
-    C, info = _dpotrf(H)
-    if _info("dpotrf", info):
-        raise np.linalg.LinAlgError(
-            f"leading minor of order {info} is not positive definite (LAPACK dpotrf)"
-        )
-    return C
-
-
-def potrs(C, B):
-    """``H^-1 B`` for the :func:`potrf` factor C of H, by dpotrs with
-    UPLO='U' on an F-ordered copy of the 2-d B."""
-    C = np.asfortranarray(C, dtype=np.float64)
-    X = np.array(B, dtype=np.float64, order="F")
-    if X.ndim != 2 or C.shape != (len(X), len(X)):
-        raise ShapeError(f"dpotrs needs an n x n factor and n rows of B, got "
-                         f"{C.shape} and {X.shape}")
-    fn = routine("LAPACKE_dpotrs")
-    if fn is None:
-        from scipy.linalg.lapack import dpotrs
-
-        X, info = dpotrs(C, X, lower=0, overwrite_b=1)
-    else:
-        n, k = X.shape
-        info = fn(_LAYOUT, b"U", n, k, C.ctypes.data, max(1, n), X.ctypes.data,
-                  max(1, n))
-    _info("dpotrs", info)
-    return X
 
 
 def trsm(R, B):

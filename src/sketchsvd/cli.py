@@ -16,12 +16,11 @@ Commands
               matrices (columns: s, dist_A_P_2, dist_P_T_2, time_P_s,
               sandwich_pass), with the sandwich checked at an asserted
               distortion and again at each repetition's measured one.
-              ``time_P_s`` covers the sketch, its small SVD and the n x n
-              factor ``H_s``; the m x n ``P`` is never formed.  The meta
-              record's ``time_T_s`` covers the R of A, summed over row
-              blocks, and the n x n factor H taken from it; only the
-              explicit route adds an orthonormal basis of Range(A), for
-              its certificate.
+              ``time_P_s`` covers the sketch and its small SVD; the
+              m x n ``P`` is never formed.  The meta record's
+              ``time_T_s`` covers the R of A, summed over row blocks, and
+              the small SVD of R; only the explicit route adds an
+              orthonormal basis of Range(A), for its certificate.
 ``gen``       write the matrix that ``--matrix`` and ``--seed`` name (seeded
               as below) to the Matrix Market file ``--out``.
 
@@ -128,7 +127,8 @@ def _load_matrix(src, seed):
             raise ValueError(f"matrix source {src!r} is not of the form {form}") from None
         try:
             A = generate(seed, *values)
-        except GenerationError as exc:
+        # numpy's MemoryError names the shape it could not allocate
+        except (GenerationError, MemoryError) as exc:
             raise GenerationError(f"matrix source {src!r} ({form}): {exc}") from None
     A = as_matrix(A)
     check_finite(A, "input matrix")
@@ -271,10 +271,14 @@ def cmd_spectrum(args):
     def reference():
         ref = np.full(ell, np.nan)
         if k_ref >= 1:
-            ref[:k_ref] = np.sort(scipy.sparse.linalg.svds(
-                A.astype(np.float64), k=k_ref, v0=rng.standard_normal(min(m, n)),
-                return_singular_vectors=False,
-            ))[::-1]
+            linalg = scipy.sparse.linalg
+            try:
+                values = linalg.svds(A.astype(np.float64), k=k_ref,
+                                     v0=rng.standard_normal(min(m, n)),
+                                     return_singular_vectors=False)
+            except linalg.ArpackError as exc:
+                raise NumericalError(f"reference svds: {exc}") from None
+            ref[:k_ref] = np.sort(values)[::-1]
         return ref
 
     ref_padded, time_ref = _timed(reference)

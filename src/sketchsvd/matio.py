@@ -7,11 +7,12 @@ Matrix Market is the NIST exchange format (Boisvert, Pozo & Remington,
 and array files with a ``real`` or ``integer`` field and ``general``,
 ``symmetric`` or ``skew-symmetric`` symmetry are read; symmetric storage
 is expanded and duplicate coordinate entries are summed; a nonzero
-diagonal entry in a ``skew-symmetric`` file is a ParseError.  ``pattern``,
-``complex`` and ``hermitian`` files raise UnsupportedFormatError.
-Comment (``%``) and blank lines may stand only between the header and the
-size line; a comment among the entries is a ParseError.  Parse failures
-carry the 1-based line number whenever scipy reports one.
+diagonal entry in a ``skew-symmetric`` file is a ParseError, and so is an
+array file with no rows.  ``pattern``, ``complex`` and ``hermitian``
+files raise UnsupportedFormatError.  Comment (``%``) and blank lines may
+stand only between the header and the size line; a comment among the
+entries is a ParseError.  Parse failures carry the 1-based line number
+whenever scipy reports one.
 """
 
 import json
@@ -48,7 +49,10 @@ def read_matrix_market(path):
     Returns a float64 CSR matrix for coordinate files and a float64 dense
     ndarray for array files.
     """
-    m, n, _, _, field, symmetry = _scipy_io(scipy.io.mminfo, path)
+    m, n, _, storage, field, symmetry = _scipy_io(scipy.io.mminfo, path)
+    if storage == "array" and m == 0:
+        # scipy's reader dies of a division by zero on such a file
+        raise ParseError(f"array storage needs at least one row, got {m} x {n}")
     if field not in _FIELDS or symmetry not in _SYMMETRIES:
         raise UnsupportedFormatError(f"{field} {symmetry} matrices are not supported")
     if symmetry != "general" and m != n:
@@ -70,11 +74,15 @@ def write_matrix_market(X, path, comment=None):
 
     Sparse input is written in coordinate format, dense input in array
     format; both as ``real general`` with full float64 round-trip
-    precision.  Complex input raises ``PreconditionError`` and writes no
-    file.
+    precision, to ``path`` as given.  Complex input raises
+    ``PreconditionError`` and writes no file; a path that cannot be opened
+    for writing raises ``OSError``.
     """
     X = require_real(X)
-    scipy.io.mmwrite(path, X, comment=comment, field="real", symmetry="general")
+    # scipy returns silently from a path it cannot open, and appends
+    # ".mtx" to one without it; a handle does neither
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, X, comment=comment, field="real", symmetry="general")
 
 
 def format_cell(x):

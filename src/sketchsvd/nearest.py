@@ -11,21 +11,22 @@ at a measured distortion ``epsilon_emp``, so the pass flags are
 deterministic over the audited subspace.
 
 The sandwich's distances and its certificate over Range(A) need no m-sized
-work beyond the sketch ``S A``, and P itself is not formed.  Since
-``P = A H_s^-1`` and T has orthonormal columns,
+work beyond the sketch ``S A``, and P itself is not formed.  With the SVD
+``R = U diag(sigma) V_H^T`` of the R of A's thin QR (A and R share
+``H = V_H diag(sigma) V_H^T``), the retained SVD ``S A = Q diag(theta)
+V_s^T`` and the n x n orthogonal ``M = V_H^T V_s``, since T has
+orthonormal columns and ``P = A H_s^-1``:
 
-* ``|A - T| = |H - I|``, ``|A - P| = |H (I - H_s^-1)|`` and
-  ``|P - T| = |H H_s^-1 - I|`` in the spectral norm;
-* ``sigma(S T) = sigma(S A H^-1) = sigma(H_s H^-1)``, because
-  ``S A = Q H_s`` for a Q with orthonormal columns when the retained rank
-  is n (which :func:`nearest_sts_orthogonal` enforces).
+* ``|A - T| = max |sigma_i - 1|``,
+  ``|A - P| = |diag(sigma) M (I - diag(theta)^-1)|`` and
+  ``|P - T| = |diag(sigma) M diag(theta)^-1 - M|`` in the spectral norm;
+* ``sigma(S T) = sigma(diag(sigma)^-1 M diag(theta))``, because
+  ``S A = Q H_s`` when the retained rank is n (which
+  :func:`nearest_sts_orthogonal` enforces).
 
-Each is an n x n product, formed by Cholesky solves with H and H_s
-(LAPACK ``dpotrf`` and ``dpotrs`` of numpy's OpenBLAS).  A and
-the R of its thin QR share H, so H comes from the
-:func:`~sketchsvd.densekernels.jacobi_svd` of the R that
-:func:`~sketchsvd.densekernels.householder_qr` computes over row blocks
-of A; no dense copy of A, no Q and no P is formed.  The distances lose
+R comes from :func:`~sketchsvd.densekernels.householder_qr`, over row
+blocks of A, and its SVD from :func:`~sketchsvd.densekernels.jacobi_svd`;
+no dense copy of A, no Q and no P is formed.  The distances lose
 about ``u * kappa(A)``, as the m x n differences do, since both inherit it
 from the SVD of ``S A``; the certificate loses about ``u * kappa(A D)``,
 D scaling each column of A to unit norm, and one over an orthonormal
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack, densekernels
+from . import densekernels
 from .densekernels import (
     PolarPair,
     _column_norms,
@@ -50,7 +51,6 @@ from .densekernels import (
     householder_qr,
     jacobi_svd,
     range_basis,
-    spectral_norm,
     to_dense,
 )
 from .errors import PreconditionError, RankDeficiencyError
@@ -94,12 +94,11 @@ class NearestSandwich:
 @dataclass(frozen=True)
 class _SketchedPolar:
     """The n x n part of the sketched polar decomposition ``A = P H_s``:
-    the retained ``(theta, V)`` of the SVD of ``S A`` and
-    ``H = H_s = V diag(theta) V^T``."""
+    the retained ``(theta, V)`` of the SVD of ``S A``, so that
+    ``H_s = V diag(theta) V^T``."""
 
     theta: np.ndarray
     V: np.ndarray
-    H: np.ndarray
 
     def P(self, A):
         """The m x n factor ``P = A H_s^-1``, one product of A with
@@ -122,7 +121,7 @@ def _sketched_polar(A, op):
             f"nearest_sts_orthogonal requires full column rank: retained "
             f"rank {theta.size} < {n}"
         )
-    return _SketchedPolar(theta=theta, V=V, H=_symmetric_factor(V, theta))
+    return _SketchedPolar(theta=theta, V=V)
 
 
 def nearest_sts_orthogonal(A, op):
@@ -153,7 +152,7 @@ def nearest_sts_orthogonal(A, op):
     """
     A = as_matrix(A)
     sketched = _sketched_polar(A, op)
-    return PolarPair(P=sketched.P(A), H=sketched.H)
+    return PolarPair(P=sketched.P(A), H=_symmetric_factor(sketched.V, sketched.theta))
 
 
 def nearest_orthogonal(A):
@@ -257,47 +256,49 @@ class _SandwichTerms:
     its n x n part (:class:`_SketchedPolar`); :meth:`report` is the one
     place that evaluates it.
 
-    Built once per A from the H of its classical polar decomposition
-    ``A = T H``, taken from the row-blocked R of
-    :func:`~sketchsvd.densekernels.householder_qr`; neither T nor P is
-    formed.  The distances come from n x n products of H and H_s, and so
-    does the certificate where ``kappa(A D) <= _FACTORED_MAX_KAPPA``;
-    elsewhere it is measured over ``range_basis(A, rtol=0.0)`` (see the
-    module docstring).
+    Built once per A from the ``(sigma, V)`` of the SVD of the row-blocked
+    R of :func:`~sketchsvd.densekernels.householder_qr`, whose H is the H
+    of the classical polar decomposition ``A = T H``; neither T nor P is
+    formed.  ``|A - T|`` needs sigma alone; the other two distances come
+    from diagonal scalings of the n x n ``M = V^T V_s``, and so does the
+    certificate where ``kappa(A D) <= _FACTORED_MAX_KAPPA``; elsewhere it
+    is measured over ``range_basis(A, rtol=0.0)`` (see the module
+    docstring).
     """
 
     def __init__(self, A):
-        f = jacobi_svd(householder_qr(A))
-        self.H = _symmetric_factor(f.V, f.sigma)
-        self.dist_AT = spectral_norm(self.H - np.eye(len(self.H)))
-        # A D and H D have the same Gram matrix, so the same condition
-        self.factored = _column_scaled_condition(self.H) <= _FACTORED_MAX_KAPPA
-        if self.factored:
-            self.chol_H = _lapack.potrf(self.H)
-        else:
+        R = householder_qr(A)
+        f = jacobi_svd(R)
+        self.sigma, self.V = f.sigma, f.V
+        self.dist_AT = float(np.abs(f.sigma - 1.0).max(initial=0.0))
+        # A D and R D have the same Gram matrix, so the same condition
+        self.factored = _column_scaled_condition(R) <= _FACTORED_MAX_KAPPA
+        if not self.factored:
             self.basis = range_basis(A, rtol=0.0)
 
     def certificate(self, op, sketched):
         """The distortion of ``op`` over Range(A), which is Range(T)."""
+        return self._certify(op, sketched.theta, self.V.T @ sketched.V)
+
+    def _certify(self, op, theta, M):
         if not self.factored:
             return empirical_epsilon(op, self.basis)
-        # sigma(S T) = sigma(H_s H^-1) = sigma(H^-1 H_s)
-        sv = np.linalg.svd(_lapack.potrs(self.chol_H, sketched.H),
-                           compute_uv=False)
+        # sigma(S T) = sigma(diag(sigma)^-1 M diag(theta))
+        sv = np.linalg.svd(M * theta / self.sigma[:, None], compute_uv=False)
         return _certificate(sv, sv.size)
 
     def report(self, op, sketched, cert=None):
         """The :class:`NearestSandwich` of the sketched polar decomposition
         ``A = P H_s``, evaluated at ``cert`` (by default at
         :meth:`certificate`)."""
+        M = self.V.T @ sketched.V
         if cert is None:
-            cert = self.certificate(op, sketched)
-        # H H_s^-1 is the transpose of H_s^-1 H: both factors are symmetric
-        HHs = _lapack.potrs(_lapack.potrf(sketched.H), self.H).T
-        dist_AP = spectral_norm(self.H - HHs)
-        dist_PT = spectral_norm(HHs - np.eye(len(HHs)))
+            cert = self._certify(op, sketched.theta, M)
+        sM = self.sigma[:, None] * M
+        dist_AP = np.linalg.norm(sM * (1.0 - 1.0 / sketched.theta), 2)
+        dist_PT = np.linalg.norm(sM / sketched.theta - M, 2)
         eps = cert.epsilon_emp
-        return NearestSandwich(float(dist_AP), float(self.dist_AT), float(dist_PT),
+        return NearestSandwich(float(dist_AP), self.dist_AT, float(dist_PT),
                                float(eps), *sandwich_bounds(dist_AP, self.dist_AT, eps))
 
 

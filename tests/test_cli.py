@@ -69,6 +69,20 @@ class TestGen:
             raws.append(strip_times((tmp_path / f"{out.name}.raw.csv").read_text()))
         assert raws[0] == raws[1]
 
+    @pytest.mark.parametrize("name", ["missing/x.mtx", "adir", "x.mtx", "noext"])
+    def test_exit_zero_only_with_the_file_written(self, tmp_path, capsys, name):
+        # a path in a missing directory, or one that names a directory, is an
+        # input error; any other is written as given, with no suffix added
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / name
+        rc = run(["gen", "--matrix", "randn:5,3", "--out", out])
+        if name in ("missing/x.mtx", "adir"):
+            assert rc == 2
+            assert "input error" in capsys.readouterr().err
+        else:
+            assert rc == 0
+            assert read_matrix_market(out).shape == (5, 3)
+
 
 @pytest.mark.parametrize("kappa", ["nan", "inf"])
 def test_non_finite_kappa_is_input_error(capsys, kappa):
@@ -101,6 +115,28 @@ def test_malformed_source_names_its_form(tmp_path, capsys, command, src, form):
 def test_randn_needs_positive_dimensions(src):
     with pytest.raises(GenerationError, match="randn:M,N"):
         cli._load_matrix(src, 0)
+
+
+def test_oversized_source_is_input_error(capsys):
+    # 8e18 bytes: no machine can allocate them, so nothing is filled
+    src = "randn:1000000000,1000000000"
+    assert run(["ortho", "--matrix", src, "--s", "2n", "--reps", 1]) == 2
+    err = capsys.readouterr().err
+    assert src in err and "(1000000000, 1000000000)" in err
+
+
+@pytest.mark.parametrize("size", ["0 0", "0 3"])
+def test_zero_row_array_file_is_input_error(tmp_path, size):
+    # scipy's reader dies of SIGFPE on such a file, so the run is a child
+    # process, which a regression cannot take pytest down with
+    mtx = tmp_path / "zero.mtx"
+    mtx.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sketchsvd.cli", "ortho", "--matrix",
+                           str(mtx)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert f"got {size.replace(' ', ' x ')}" in proc.stderr
 
 
 @pytest.mark.parametrize("value, bad", [("10,abc", "abc"), ("10,4x", "4x"),
@@ -243,6 +279,17 @@ class TestSpectrum:
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n"
         )
         assert run(["spectrum", "--matrix", bad, "--sketch", "srtt", "--s", 1]) == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_arpack_failure_is_numerical_failure(self, tmp_path, capsys):
+        # the reference svds overflows on a column of 1e300 and raises
+        # ARPACK's error, a RuntimeError
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix array real general\n3 2\n"
+                       "1e300\n1e300\n1e300\n1\n2\n3\n")
+        rc = run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1])
+        assert rc == 3
+        assert "ARPACK error" in capsys.readouterr().err
 
 
 class TestOrtho:
@@ -426,16 +473,16 @@ class TestNearest:
         assert "full column rank" in capsys.readouterr().err
 
     def test_lapack_failure_is_numerical_failure(self, monkeypatch, capsys):
-        # dpotrf reports a matrix that is not positive definite through
-        # info > 0; its LinAlgError is a ValueError, yet a failed LAPACK call
-        def indefinite(H):
-            return np.array(H, order="F"), 2
+        # numpy reports an SVD that did not converge as a LinAlgError, which
+        # is a ValueError, yet a failed LAPACK call
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(_lapack, "_dpotrf", indefinite)
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
         rc = run(["nearest", "--matrix", "randn:300,20", "--s", "4n", "--reps", 1])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "not positive definite" in err
+        assert "numerical failure" in err and "SVD did not converge" in err
 
 
 class TestRepetitionMemory:

@@ -343,7 +343,7 @@ def test_blas_threads_reads_the_pinned_count():
     if densekernels.blas_threads() is None:
         pytest.skip("numpy's BLAS does not report its thread count")
     code = ("from sketchsvd import _lapack, densekernels as d; "
-            "print(_lapack.openblas.cache_info().currsize, d.blas_threads())")
+            "print(_lapack._openblas.cache_info().currsize, d.blas_threads())")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -17,29 +17,15 @@ from sketchsvd import (
     sketched_qr,
 )
 
-_OPENBLAS = _lapack.routine("LAPACKE_dpotrf") is not None
-
-
-def test_potrf_of_an_indefinite_matrix_raises_linalgerror():
-    H = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(np.linalg.LinAlgError, match="order 2 is not positive definite"):
-        _lapack.potrf(H)
-
-
-def test_potrf_potrs_solve_an_spd_system():
-    rng = np.random.default_rng(0)
-    G = rng.standard_normal((6, 6))
-    H, B = G @ G.T + np.eye(6), rng.standard_normal((6, 3))
-    X = _lapack.potrs(_lapack.potrf(H), B)
-    np.testing.assert_allclose(H @ X, B, atol=1e-12)
+_OPENBLAS = _lapack.routine("LAPACKE_dgesdd") is not None
 
 
 @pytest.mark.skipif(not _OPENBLAS, reason="numpy's library exports no LAPACKE")
 def test_rejected_argument_names_routine_and_argument():
-    # LAPACKE reports a NaN in its matrix argument (the 4th of dpotrf) as
+    # LAPACKE reports a NaN in its matrix argument (the 5th of dgesdd) as
     # an illegal value
-    with pytest.raises(NumericalError, match="dpotrf rejected its argument 4"):
-        _lapack.potrf(np.array([[np.nan]]))
+    with pytest.raises(NumericalError, match="dgesdd rejected its argument 5"):
+        _lapack.gesdd(np.array([[np.nan]]))
 
 
 def test_trsm_needs_f_ordered_b():
@@ -95,7 +81,7 @@ def test_scipy_path_agrees_with_openblas_path(monkeypatch, kind):
     A = _inputs()[kind]
     native = _results(A)
     # the loader reports no library, so every routine is scipy's wrapper
-    monkeypatch.setattr(_lapack, "openblas", lambda: None)
+    monkeypatch.setattr(_lapack, "_openblas", lambda: None)
     assert _lapack.routine("LAPACKE_dgejsv") is None
     fallback = _results(A)
     assert native.keys() == fallback.keys()

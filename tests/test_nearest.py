@@ -24,7 +24,7 @@ from sketchsvd import (
     spectral_norm,
     sts_svd,
 )
-from sketchsvd.densekernels import _GRAM_ROWS, to_dense
+from sketchsvd.densekernels import _GRAM_ROWS, _symmetric_factor, to_dense
 from sketchsvd.nearest import _SandwichTerms, _sketched_polar, loss_bounds
 from sketchsvd.sketchops import KINDS
 
@@ -355,8 +355,8 @@ class TestNearestSandwich:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rotated_certificate_against_mpmath(self, kind):
         # Rotated input at kappa(A) = 1e6 takes the explicit route: its
-        # certificate is 5e-13 to 5e-12 from the one over the exact T,
-        # where the n x n formula sigma(H_s H^-1) is 5e-11 to 7e-11 off.
+        # certificate is 5e-13 to 5e-12 from the one over the exact T, where
+        # the n x n sigma(diag(sigma)^-1 M diag(theta)) is 1e-11 to 5e-11 off.
         mpmath = pytest.importorskip("mpmath")
         m, n = 200, 8
         rng = np.random.default_rng(7)
@@ -376,7 +376,7 @@ class TestNearestSandwich:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rotated_distances_against_mpmath(self, kind):
         # |A - T|, |A - P| and |P - T| over the exact T and P in 60 digits;
-        # at kappa(A) = 1e6 the n x n distances were at most 1.1e-10
+        # at kappa(A) = 1e6 the n x n distances were at most 5.5e-11
         # relative off, and the m x n ones 6.2e-11
         mpmath = pytest.importorskip("mpmath")
         m, n = 200, 8
@@ -555,7 +555,9 @@ class TestRowBlockedR:
         # nearest's H, and its outputs, are the ones polar_factors gives
         rng = np.random.default_rng(m)
         A = rng.standard_normal((m, 50)) * np.logspace(0, -10, 50)
-        assert np.array_equal(_SandwichTerms(A).H, polar_factors(A).H)
+        terms = _SandwichTerms(A)
+        H = _symmetric_factor(terms.V, terms.sigma)
+        assert np.array_equal(H, polar_factors(A).H)
 
     def test_wide_rejected(self):
         for A in (np.ones((2, 5)), sp.csr_matrix(np.ones((2, 5)))):
@@ -584,7 +586,8 @@ class TestRowBlockedR:
             lam, E = mpmath.eigsy(gram)
             H = E * mpmath.diag([mpmath.sqrt(v) for v in lam]) * E.T
             want = np.array(H.tolist(), dtype=float)
-        got = _SandwichTerms(A).H
+        terms = _SandwichTerms(A)
+        got = _symmetric_factor(terms.V, terms.sigma)
         assert np.max(np.abs(got - want) / np.linalg.norm(want, axis=0)) <= 1e-14
 
 
