@@ -46,8 +46,9 @@ Conventions
   ``ortho`` streams its rows through its one sparse apply and never holds
   its table, and drawing those rows dominates its time.  README.md gives
   the measured times and peaks of the presets.
-* Exit codes: 0 success, 2 input error (including a sketch dimension that
-  leaves ``nearest`` without full column rank), 3 numerical failure
+* Exit codes: 0 success, 2 input error (including a matrix with no rows
+  or no columns and a sketch dimension that leaves ``nearest`` without full
+  column rank), 3 numerical failure
   (including a LAPACK ``LinAlgError``), 4 asserted bounds violated (only
   with ``--strict``).
 """
@@ -62,7 +63,7 @@ import numpy as np
 import scipy.sparse
 
 from .densekernels import as_matrix, check_finite, numerical_rank, to_dense
-from .errors import GenerationError, NumericalError
+from .errors import GenerationError, NumericalError, ShapeError
 from .generators import gen_cauchy, gen_sparse_conditioned
 from .matio import read_matrix_market, write_csv, write_jsonl, write_matrix_market
 from .nearest import (
@@ -164,9 +165,13 @@ def _matrix(args):
 
 def _setup(args):
     """The matrix of a run (see :func:`_matrix`) and its sketch dimensions
-    (``--s``, or else the one that ``(--eps, --delta)`` call for)."""
+    (``--s``, or else the one that ``(--eps, --delta)`` call for).  A
+    matrix with no rows or no columns has no factor to compute or audit."""
     A = _matrix(args)
     m, n = A.shape
+    if m == 0 or n == 0:
+        raise ShapeError(
+            f"matrix needs at least one row and one column, got {m} x {n}")
     if args.s is not None:
         dims = _parse_s_list(args.s, n)
     else:
@@ -273,10 +278,13 @@ def cmd_spectrum(args):
         if k_ref >= 1:
             linalg = scipy.sparse.linalg
             try:
-                values = linalg.svds(A.astype(np.float64), k=k_ref,
-                                     v0=rng.standard_normal(min(m, n)),
-                                     return_singular_vectors=False)
-            except linalg.ArpackError as exc:
+                # an overflowing product raises, where it would print a
+                # RuntimeWarning and leave an inf
+                with np.errstate(over="raise"):
+                    values = linalg.svds(A.astype(np.float64), k=k_ref,
+                                         v0=rng.standard_normal(min(m, n)),
+                                         return_singular_vectors=False)
+            except (linalg.ArpackError, FloatingPointError) as exc:
                 raise NumericalError(f"reference svds: {exc}") from None
             ref[:k_ref] = np.sort(values)[::-1]
         return ref
@@ -392,9 +400,21 @@ def _add_matrix(p, required):
     p.add_argument("--matrix", required=required,
                    help="matrix source: cauchy:N | sprand:M,N,DENSITY,KAPPA | "
                    f"randn:M,N | file.mtx{default}")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed, whose child 0 seeds a random matrix "
-                   "source (default 0)")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="master seed, a non-negative integer, whose child 0 "
+                   "seeds a random matrix source (default 0)")
+
+
+def _seed(text):
+    """The integer ``text`` names, checked to be non-negative, as
+    ``numpy.random.SeedSequence`` needs: the type of ``--seed``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
 
 
 def _unit_interval(text):

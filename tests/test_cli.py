@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -137,6 +138,37 @@ def test_zero_row_array_file_is_input_error(tmp_path, size):
                           timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert f"got {size.replace(' ', ' x ')}" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ortho", "nearest"])
+def test_matrix_with_no_columns_is_input_error(tmp_path, command):
+    # the same message from every command, through the entry point
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n3 0\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sketchsvd.cli", command, "--matrix",
+                           str(mtx), "--s", "2", "--reps", "1"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("input error: matrix needs at least one row and one "
+                           "column, got 3 x 0\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ortho", "nearest"])
+def test_matrix_with_no_rows_is_input_error(tmp_path, capsys, command):
+    # a coordinate file may have no rows; scipy reads it without failing
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n0 3 0\n")
+    assert run([command, "--matrix", mtx, "--s", 2, "--reps", 1]) == 2
+    assert "got 0 x 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ortho", "gen"])
+def test_negative_seed_rejected_at_parse_time(tmp_path, capsys, command):
+    rc = run([command, "--matrix", "randn:4,2", "--seed", -1]
+             + (["--out", tmp_path / "x.mtx"] if command == "gen" else ["--s", "2n"]))
+    assert rc == 2
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, bad", [("10,abc", "abc"), ("10,4x", "4x"),
@@ -280,16 +312,30 @@ class TestSpectrum:
         )
         assert run(["spectrum", "--matrix", bad, "--sketch", "srtt", "--s", 1]) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_arpack_failure_is_numerical_failure(self, tmp_path, capsys):
-        # the reference svds overflows on a column of 1e300 and raises
-        # ARPACK's error, a RuntimeError
+        # the reference svds cannot build an Arnoldi factorization of this
+        # matrix, without overflowing, and raises ARPACK's error, a
+        # RuntimeError
         big = tmp_path / "big.mtx"
-        big.write_text("%%MatrixMarket matrix array real general\n3 2\n"
-                       "1e300\n1e300\n1e300\n1\n2\n3\n")
+        big.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
+                       "1 1 1e300\n2 2 1e300\n3 1 1\n")
         rc = run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1])
         assert rc == 3
         assert "ARPACK error" in capsys.readouterr().err
+
+    def test_reference_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # the reference svds overflows on a column of 1e300: the exit-3
+        # message alone, with no RuntimeWarning ahead of it
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix array real general\n3 2\n"
+                       "1e300\n1e300\n1e300\n1\n2\n3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: reference svds: overflow")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestOrtho:
