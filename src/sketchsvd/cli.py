@@ -277,16 +277,19 @@ def cmd_spectrum(args):
         ref = np.full(ell, np.nan)
         if k_ref >= 1:
             linalg = scipy.sparse.linalg
+            # svds works on products with A^T A, which overflow near 1e300:
+            # it runs on A scaled exactly by a power of two, to max |A| < 1
+            e = np.frexp(max(A.max(), -A.min()))[1]
             try:
                 # an overflowing product raises, where it would print a
                 # RuntimeWarning and leave an inf
                 with np.errstate(over="raise"):
-                    values = linalg.svds(A.astype(np.float64), k=k_ref,
+                    values = linalg.svds(A * np.ldexp(1.0, -e), k=k_ref,
                                          v0=rng.standard_normal(min(m, n)),
                                          return_singular_vectors=False)
             except (linalg.ArpackError, FloatingPointError) as exc:
                 raise NumericalError(f"reference svds: {exc}") from None
-            ref[:k_ref] = np.sort(values)[::-1]
+            ref[:k_ref] = np.sort(np.ldexp(values, e))[::-1]
         return ref
 
     ref_padded, time_ref = _timed(reference)

@@ -40,19 +40,14 @@ gaussian applies) on any core count.
   sparse ones);
 * a sparse gaussian apply, on the draw's blocks and w threads, draws
   ``max(1, budget // (w * m))`` rows per thread at a time;
-* a dense gaussian apply cuts each stream block into two halves whose
-  bounds depend on ``s`` alone, and casts a half into float64 one column
-  tile at a time: about ``budget // ceil(s / 8)`` columns, split into
-  equal tiles whose bounds depend on ``s`` and ``m`` alone, and each
-  output row adds up its tile products in column order (the K-blocking
-  of Goto & van de Geijn, ACM TOMS 34(3), 2008).  The halves run in
-  order on the calling thread, whose BLAS threads each product, unless
-  numpy's BLAS reports one thread
-  (:func:`~sketchsvd.densekernels.blas_threads`): then they run on up
-  to two threads, each casting into its own half of the scratch.  So a
-  dense apply computes the same products whatever the core count or the
-  BLAS thread count it reads (OpenBLAS's own threads can still change
-  the bits of a product with many columns).
+* a dense gaussian apply, on the draw's blocks and up to two threads,
+  casts a block into float64 one column tile at a time: about
+  ``budget // (2 * ceil(s / 8))`` columns, split into equal tiles whose
+  bounds depend on ``s`` and ``m`` alone, and each output row adds up
+  its tile products in column order (the K-blocking of Goto & van de
+  Geijn, ACM TOMS 34(3), 2008).  So a dense apply computes the same
+  products whatever the core count (OpenBLAS's own threads can still
+  change the bits of a product with many columns).
 
 The budget is sized to a core's L2 cache: at the desk ``ortho`` shape,
 m = 20000 on 2 workers, one worker's chunk of 8 rows in float32 and
@@ -76,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .densekernels import as_matrix, blas_threads, require_real
+from .densekernels import as_matrix, require_real
 from .errors import PreconditionError, ShapeError
 
 KINDS = ("gaussian", "srtt", "sparse-sign")
@@ -105,6 +100,10 @@ _GAUSSIAN_STREAMS = 8
 # fills 2**18 entries in 5.7 ms, as one thread does, and 2**19 entries in
 # 9.1 ms against 10.7 ms.
 _PARALLEL_MIN_ENTRIES = 1 << 19
+
+# A dense gaussian apply runs on at most this many threads, each casting
+# into its own scratch, and its column tiles are sized for that many.
+_DENSE_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -201,11 +200,14 @@ def _stream_blocks(s):
 
 def _column_tiles(s, m):
     """``(c0, c1)`` bounds of the column tiles in which a dense gaussian
-    apply casts an (s, m) table: about ``_APPLY_ENTRIES`` entries over one
-    stream block's ``ceil(s / 8)`` rows, split into equal tiles.  They
-    depend on ``s`` and ``m`` alone, so the sum each output row adds up
-    tile by tile does not depend on the thread or core count."""
-    cols = max(1, _APPLY_ENTRIES // -(-s // _GAUSSIAN_STREAMS))
+    apply casts an (s, m) table, one stream block per worker: about
+    ``_APPLY_ENTRIES // _DENSE_WORKERS`` entries over a block's
+    ``ceil(s / 8)`` rows, split into equal tiles, so that the workers'
+    tiles together stay within the budget.  They depend on ``s`` and ``m``
+    alone, so the sum each output row adds up tile by tile does not depend
+    on the thread or core count."""
+    height = -(-s // _GAUSSIAN_STREAMS)
+    cols = max(1, _APPLY_ENTRIES // (_DENSE_WORKERS * height))
     count = -(-m // cols)
     bounds = [m * k // count for k in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -225,7 +227,9 @@ def _on_streams(fn, chunks, workers):
     runs ``chunks[w::workers]`` in order, on a thread pool when there is
     more than one worker.  ``w`` lets a call pick scratch that no other
     worker uses.  Each chunk must be computed the same way by any worker,
-    so that the result does not depend on the thread or core count."""
+    so that the result does not depend on the thread or core count: the
+    gaussian draw and both gaussian applies pass :func:`_stream_blocks`,
+    so no worker ever takes part of a block."""
     if workers == 1:
         for chunk in chunks:
             fn(0, *chunk)
@@ -391,25 +395,16 @@ class SketchOperator:
         blocks = _stream_blocks(self.s)
         if not sp.issparse(X):
             table = self._table()
-            # each stream block is cut into two halves whose bounds depend
-            # on s alone, on either route, so that both compute the same
-            # products: with BLAS on one thread the halves run on up to two
-            # workers, worker w taking every w-th half, else in order on the
-            # calling thread, whose BLAS threads each product
-            chunks = []
-            for _, r0, r1 in blocks:
-                mid = r0 + (r1 - r0 + 1) // 2
-                chunks += [(r0, mid), (mid, r1)]
-            workers = _pool_workers(self.s, m, 2) if blas_threads() == 1 else 1
-            # float64 scratch for one half's column tile per worker, and a
+            workers = _pool_workers(self.s, m, _DENSE_WORKERS)
+            # float64 scratch for one block's column tile per worker, and a
             # partial product when there is more than one tile, allocated
             # here as the sparse apply's buffers are
-            half = max(r1 - r0 for r0, r1 in chunks)
+            height = max(r1 - r0 for _, r0, r1 in blocks)
             tiles = _column_tiles(self.s, m)
-            buf = np.empty((workers, half, max(c1 - c0 for c0, c1 in tiles)))
-            part = np.empty((workers, half, X.shape[1])) if len(tiles) > 1 else None
+            buf = np.empty((workers, height, max(c1 - c0 for c0, c1 in tiles)))
+            part = np.empty((workers, height, X.shape[1])) if len(tiles) > 1 else None
 
-            def product(w, r0, r1):
+            def product(w, _, r0, r1):
                 # each row adds up its tile products in column order
                 for t, (c0, c1) in enumerate(tiles):
                     tile = buf[w, :r1 - r0, :c1 - c0]
@@ -420,7 +415,7 @@ class SketchOperator:
                         np.matmul(tile, X[c0:c1], out=part[w, :r1 - r0])
                         out[r0:r1] += part[w, :r1 - r0]
 
-            _on_streams(product, chunks, workers)
+            _on_streams(product, blocks, workers)
             return out
         Xt = X.tocsc().T  # the CSR of X^T; CSC input is not copied
         workers = _pool_workers(self.s, m, len(blocks))

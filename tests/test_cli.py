@@ -7,11 +7,11 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from sketchsvd import (
     GenerationError, SketchRankWarning, _lapack, cli, gen_sparse_conditioned, nearest,
@@ -312,30 +312,43 @@ class TestSpectrum:
         )
         assert run(["spectrum", "--matrix", bad, "--sketch", "srtt", "--s", 1]) == 3
 
-    def test_arpack_failure_is_numerical_failure(self, tmp_path, capsys):
-        # the reference svds cannot build an Arnoldi factorization of this
-        # matrix, without overflowing, and raises ARPACK's error, a
-        # RuntimeError
+    @pytest.mark.parametrize("header, entries", [
+        ("coordinate real general\n3 2 3", "1 1 1e300\n2 2 1e300\n3 1 1"),
+        ("array real general\n3 2", "1e300\n1e300\n1e300\n1\n2\n3"),
+    ], ids=["coordinate", "array"])
+    def test_reference_near_overflow(self, tmp_path, header, entries):
+        # svds on A itself overflows in its products with A^T A (the
+        # coordinate file made ARPACK fail with error -9999, the array file
+        # raised "overflow encountered in dot"); on A scaled by a power of
+        # two it gives the full SVD's values
         big = tmp_path / "big.mtx"
-        big.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
-                       "1 1 1e300\n2 2 1e300\n3 1 1\n")
-        rc = run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1])
-        assert rc == 3
-        assert "ARPACK error" in capsys.readouterr().err
+        big.write_text(f"%%MatrixMarket matrix {header}\n{entries}\n")
+        out = tmp_path / "big.csv"
+        assert run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1,
+                    "--out", out]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith(("#", "index"))]
+        sigma = np.array([float(r[1]) for r in rows])
+        ref = np.array([float(r[3]) for r in rows])
+        defined = ~np.isnan(ref)
+        assert defined.sum() == 1  # k_ref = min(m, n) - 1
+        np.testing.assert_allclose(ref[defined], sigma[defined], rtol=1e-12)
 
-    def test_reference_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # the reference svds overflows on a column of 1e300: the exit-3
-        # message alone, with no RuntimeWarning ahead of it
-        big = tmp_path / "big.mtx"
-        big.write_text("%%MatrixMarket matrix array real general\n3 2\n"
-                       "1e300\n1e300\n1e300\n1\n2\n3\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run(["spectrum", "--matrix", big, "--s", 2, "--reps", 1])
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackError(-9999),
+        FloatingPointError("overflow encountered in dot"),
+    ], ids=["arpack", "overflow"])
+    def test_reference_failure_is_numerical_failure(self, monkeypatch, capsys, error):
+        # an ARPACK failure or an overflow of the reference svds exits 3
+        # with one line on stderr
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", fail)
+        rc = run(["spectrum", "--matrix", "cauchy:20", "--s", 4, "--reps", 1])
         assert rc == 3
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("numerical failure: reference svds: overflow")
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert line == f"numerical failure: reference svds: {error}"
 
 
 class TestOrtho:

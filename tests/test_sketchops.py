@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -146,11 +149,7 @@ class TestBuildSketch:
             tables.append(build_sketch("gaussian", s, m, seed=5).materialize())
         assert np.array_equal(tables[0], tables[1])
 
-    @pytest.mark.parametrize("blas", [1, 2])
-    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch, blas):
-        # at one BLAS thread dense input runs on the pool, else on the
-        # calling thread
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
+    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch):
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
         X = np.random.default_rng(27).standard_normal((m, 5))
         Xs = sp.random_array((m, 6), density=0.01, rng=28, format="csr")
@@ -355,56 +354,45 @@ class TestApply:
     @staticmethod
     def _tiles(s, m):
         """Column tiles of a dense apply, by the module docstring's rule:
-        about budget // ceil(s / 8) columns, split into equal tiles."""
-        cols = max(1, sketchops._APPLY_ENTRIES // math.ceil(s / 8))
+        about budget // (2 * ceil(s / 8)) columns, split into equal tiles."""
+        cols = max(1, sketchops._APPLY_ENTRIES // (2 * math.ceil(s / 8)))
         count = math.ceil(m / cols)
         return [(m * k // count, m * (k + 1) // count) for k in range(count)]
 
-    @staticmethod
-    def _halves(s):
-        bounds = np.linspace(0, s, 9).astype(int)
-        halves = []
-        for r0, r1 in zip(bounds, bounds[1:]):
-            mid = r0 + (r1 - r0 + 1) // 2
-            halves += [(r0, mid), (mid, r1)]
-        return halves
-
     def _tiled_products(self, op, X):
-        """S @ X as a dense apply computes it: per half of each stream
-        block, the tile products added up in column order."""
+        """S @ X as a dense apply computes it: per stream block, the tile
+        products added up in column order."""
         S = op.materialize()
         (c0, c1), *rest = self._tiles(op.s, op.m)
+        bounds = np.linspace(0, op.s, 9).astype(int)
         rows = []
-        for r0, r1 in self._halves(op.s):
+        for r0, r1 in zip(bounds, bounds[1:]):
             acc = S[r0:r1, c0:c1] @ X[c0:c1]
             for d0, d1 in rest:
                 acc += S[r0:r1, d0:d1] @ X[d0:d1]
             rows.append(acc)
         return np.vstack(rows)
 
-    @pytest.mark.parametrize("blas", [1, 2])
-    def test_gaussian_dense_apply_memory(self, monkeypatch, blas):
-        # dense input is cast into one column tile of a stream block (at
-        # most the budget, here a quarter of the block's columns) of
-        # scratch, split between the pool's workers, on any core count
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
+    def test_gaussian_dense_apply_memory(self, monkeypatch):
+        # dense input is cast into one column tile of a stream block per
+        # worker (half the budget each, here an eighth of the block's
+        # columns) of scratch, on any core count
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 32 * 1024)
         s, m = 256, 4096
-        assert len(self._tiles(s, m)) == 4
+        assert len(self._tiles(s, m)) == 8
         op = build_sketch("gaussian", s, m, seed=30)
         op._table()
         X = np.random.default_rng(31).standard_normal((m, 3))
         # beyond the output: one partial product per worker, and 32 KiB
         # for the pool's bookkeeping (16 KiB measured)
-        assert self._scratch_peak(op, X) < 8 * 32 * 1024 + 2 * 16 * 3 * 8 + 32 * 1024
+        assert self._scratch_peak(op, X) < 8 * 32 * 1024 + 2 * 32 * 3 * 8 + 32 * 1024
 
     @pytest.mark.parametrize("cols", [None, 1, 2, 5, 50])
     @pytest.mark.parametrize("s", [9, 99])
-    def test_gaussian_dense_halves_on_one_blas_thread(self, monkeypatch, s, cols):
-        # each stream block is applied as two halves, the larger first (at
-        # s = 9 most second halves are empty), each in 6 or 9 column tiles
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: 1)
+    def test_gaussian_dense_blocks_on_the_pool(self, monkeypatch, s, cols):
+        # each stream block is applied whole (at s = 9 most blocks have one
+        # row), in 18 or 11 column tiles, on two workers
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 13 * 1000)
         m = _PARALLEL_MIN_ENTRIES // s + 1
@@ -418,19 +406,46 @@ class TestApply:
         reference = op.materialize() @ X
         assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
-    def test_gaussian_dense_calling_thread_when_blas_threads_unknown(self, monkeypatch):
-        # the same halves and tiles, in order, and no thread pool
-        def no_pool(*args):  # pragma: no cover
-            raise AssertionError("dense input went to a thread pool")
+    _POOL_RUN = """
+import sys
+import numpy as np
+from sketchsvd import build_sketch, sketchops
 
+pools = []
+
+class Counted(sketchops.ThreadPoolExecutor):
+    def __init__(self, *args):
+        pools.append(args)
+        super().__init__(*args)
+
+sketchops.ThreadPoolExecutor = Counted
+sketchops.os.cpu_count = lambda: 2
+sketchops._APPLY_ENTRIES = 12 * 1000
+s, m = 96, sketchops._PARALLEL_MIN_ENTRIES // 96 + 1
+op = build_sketch("gaussian", s, m, seed=35)
+op._table()
+pools.clear()
+X = np.random.default_rng(34).standard_normal((m, 5))
+np.save(sys.argv[1], op.apply(X))
+print(len(pools))
+"""
+
+    def test_gaussian_dense_pool_at_default_blas_threads(self, monkeypatch, tmp_path):
+        # with OpenBLAS on two threads of its own, a dense apply still
+        # takes whole stream blocks on one pool of its own
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        out = tmp_path / "out.npy"
+        proc = subprocess.run([sys.executable, "-c", self._POOL_RUN, str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
         monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 12 * 1000)
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
-        X = np.random.default_rng(34).standard_normal((m, 5))
+        assert len(self._tiles(s, m)) == 11
         op = build_sketch("gaussian", s, m, seed=35)
-        op._table()
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: None)
-        monkeypatch.setattr(sketchops, "ThreadPoolExecutor", no_pool)
-        assert np.array_equal(op.apply(X), self._tiled_products(op, X))
+        X = np.random.default_rng(34).standard_normal((m, 5))
+        assert np.array_equal(np.load(out), self._tiled_products(op, X))
 
     def test_gaussian_table_drawn_once_under_concurrent_applies(self, monkeypatch):
         # threads that apply one fresh operator to dense input at once all
@@ -570,8 +585,9 @@ class TestDenseTiles:
     @pytest.fixture(autouse=True)
     def budget(self, monkeypatch):
         monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", self.BUDGET)
-        # ceil(109 / 8) = 14 rows per stream block, 500-column tiles
-        assert len(sketchops._column_tiles(self.S, self.M)) == 10
+        # ceil(109 / 8) = 14 rows per stream block, tiles of 7000 // (2 * 14)
+        # = 250 columns for two workers
+        assert len(sketchops._column_tiles(self.S, self.M)) == 20
 
     @pytest.mark.parametrize("cols", [None, 1, 4])
     def test_bits_independent_of_threads_and_cores(self, monkeypatch, cols):
@@ -579,22 +595,18 @@ class TestDenseTiles:
         X = np.random.default_rng(48).standard_normal(shape)
         op = build_sketch("gaussian", self.S, self.M, seed=49)
         outs = []
-        for blas in (1, 2, None):
-            for cores in (1, 4):
-                monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
-                monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
-                outs.append(op.apply(X))
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(sketchops.os, "cpu_count", lambda: cores)
+            outs.append(op.apply(X))
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
         reference = op.materialize() @ X
         assert np.abs(outs[0] - reference).max() <= 1e-13 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("blas", [1, None])
-    def test_scratch_within_budget(self, monkeypatch, blas):
+    def test_scratch_within_budget(self, monkeypatch):
         # the float64 tiles take at most the budget together; each worker
-        # also holds a partial product of its half's rows, and the pool
+        # also holds a partial product of its block's rows, and the pool
         # takes 10 KiB (measured) of bookkeeping
-        monkeypatch.setattr(sketchops, "blas_threads", lambda: blas)
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 4)
         op = build_sketch("gaussian", self.S, self.M, seed=50)
         op._table()
@@ -605,7 +617,7 @@ class TestDenseTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 8 * self.BUDGET + 2 * 7 * 2 * 8 + 32 * 1024
+        assert peak - out.nbytes <= 8 * self.BUDGET + 2 * 14 * 2 * 8 + 32 * 1024
 
 class TestEmpiricalEpsilon:
     def test_exact_isometry(self):
