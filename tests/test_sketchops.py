@@ -24,10 +24,27 @@ from sketchsvd import (
     sketch_dim,
     sts_svd,
 )
-from sketchsvd import sketchops
+from sketchsvd import _lapack, densekernels, sketchops
 from sketchsvd.sketchops import (
     _APPLY_ENTRIES, _PARALLEL_MIN_ENTRIES, KINDS, dct2_matrix
 )
+
+
+@pytest.fixture
+def pin_blas():
+    """Sets the thread count of numpy's OpenBLAS for one test (None, or a
+    BLAS without the setter, leaves it as it is) and restores it after."""
+    setter = _lapack.routine("openblas_set_num_threads")
+    before = densekernels.blas_threads()
+
+    def pin(threads):
+        if threads is not None and setter is not None:
+            setter(threads)
+            assert densekernels.blas_threads() == threads
+
+    yield pin
+    if setter is not None and before is not None:
+        setter(before)
 
 
 class TestSketchDim:
@@ -149,7 +166,10 @@ class TestBuildSketch:
             tables.append(build_sketch("gaussian", s, m, seed=5).materialize())
         assert np.array_equal(tables[0], tables[1])
 
-    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch):
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_gaussian_apply_independent_of_thread_count(self, monkeypatch, pin_blas, blas):
+        # at one or two BLAS threads, dense input runs on the same pool
+        pin_blas(blas)
         s, m = 96, _PARALLEL_MIN_ENTRIES // 96 + 1
         X = np.random.default_rng(27).standard_normal((m, 5))
         Xs = sp.random_array((m, 6), density=0.01, rng=28, format="csr")
@@ -373,10 +393,12 @@ class TestApply:
             rows.append(acc)
         return np.vstack(rows)
 
-    def test_gaussian_dense_apply_memory(self, monkeypatch):
+    @pytest.mark.parametrize("blas", [1, 2])
+    def test_gaussian_dense_apply_memory(self, monkeypatch, pin_blas, blas):
         # dense input is cast into one column tile of a stream block per
         # worker (half the budget each, here an eighth of the block's
-        # columns) of scratch, on any core count
+        # columns) of scratch, on any core count and BLAS thread count
+        pin_blas(blas)
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sketchops, "_APPLY_ENTRIES", 32 * 1024)
         s, m = 256, 4096
@@ -603,10 +625,13 @@ class TestDenseTiles:
         reference = op.materialize() @ X
         assert np.abs(outs[0] - reference).max() <= 1e-13 * np.abs(reference).max()
 
-    def test_scratch_within_budget(self, monkeypatch):
+    @pytest.mark.parametrize("blas", [1, None])
+    def test_scratch_within_budget(self, monkeypatch, pin_blas, blas):
         # the float64 tiles take at most the budget together; each worker
         # also holds a partial product of its block's rows, and the pool
-        # takes 10 KiB (measured) of bookkeeping
+        # takes 10 KiB (measured) of bookkeeping; at one BLAS thread and at
+        # OpenBLAS's own count
+        pin_blas(blas)
         monkeypatch.setattr(sketchops.os, "cpu_count", lambda: 4)
         op = build_sketch("gaussian", self.S, self.M, seed=50)
         op._table()
